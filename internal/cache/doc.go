@@ -2,30 +2,44 @@
 // core.Service's answer cache.
 //
 // A Cache is a fixed set of shards selected by an FNV-1a hash of the
-// key. Each shard owns a mutex and an *immutable* index — a
-// map[string]*entry republished wholesale through an atomic pointer on
-// every mutation (RCU-style copy-on-write). The hit path loads the
-// published pointer, looks up the key, and refreshes recency with a
-// plain atomic store: it never acquires the shard mutex, so a warm
-// high-QPS serving path scales with cores instead of queueing on locks
-// (LockAcquisitions instruments exactly this — the concurrency tests
-// assert it stays flat across hit-only workloads). Writers — misses,
-// warm fills, removals, cost fills — serialize on the shard mutex,
-// clone the index, mutate the clone and publish it; readers always see
-// either the old or the new complete index, never a partial one.
-// Lookups of the *same* absent key still meet on one shard lock, which
-// is what gives the Service its in-flight deduplication.
+// key. Each shard is a plain map[string]*entry guarded by a
+// sync.RWMutex, plus a min-heap over the same entries that orders them
+// for eviction. A hit takes the shard's read lock once, looks the key
+// up and raises the entry's recency stamp atomically, so hits on one
+// shard run in parallel. Writers — misses, warm fills, cost fills,
+// removals — take the write lock and change the map and the heap in
+// place: a write costs O(log n) in the shard's size. Lookups of the
+// *same* absent key meet on one write lock, which is what gives the
+// Service its in-flight deduplication. LockAcquisitions counts every
+// acquisition, read or write; the tests pin exactly one per warm hit
+// and none for the stats methods, which read atomics only.
+//
+// # Why hits take a lock
+//
+// A lock-free hit needs an index readers can load without a lock, such
+// as an immutable map republished through an atomic pointer. Every write
+// must then copy the shard's map, which makes a miss O(n) — milliseconds
+// on a 16k-entry shard, more than the solve whose answer it stores — and
+// a warm restore quadratic. A read lock costs a hit one atomic add on
+// the shard's own cache lines and lets writes work in place:
+// BenchmarkCacheMissEvict keeps a miss plus eviction under a microsecond
+// at every shard size, and the warm serving benchmarks did not move
+// beyond noise.
+//
+// sync.Map is not used: its loads are lock-free, but the eviction heap
+// would still need a lock every write takes, and its per-entry trie
+// nodes cost more memory per resident answer than a plain map.
 //
 // # Recency and cost-aware eviction
 //
-// Strict LRU list maintenance is incompatible with lock-free hits, so
-// recency is sampled: each shard's tick advances on every insert and
-// once per 16 hits, and a hit stamps its entry with tick+1 — above
-// every entry inserted in the current window. (The tick is per shard,
-// not cache-global: eviction only compares entries within one shard,
-// and a global clock would be a cache line contended by every hit on
-// every shard.) Eviction (on an insert
-// that pushes a shard over capacity) drops the entry minimizing
+// Strict LRU list maintenance would make every hit a write, so recency
+// is sampled: each shard's tick advances on every insert and once per
+// 16 hits, and a hit raises its entry's stamp to tick+1 — above every
+// entry inserted in the current window. (The tick is per shard, not
+// cache-global: eviction only compares entries within one shard, and a
+// global clock would be a cache line contended by every hit on every
+// shard.) Eviction (on an insert into a full shard) drops the entry
+// minimizing
 //
 //	stamp + 8·log₂(recompute cost in ~0.5ms units)
 //
@@ -39,6 +53,17 @@
 // pure recency, reproducing classic LRU order exactly with one shard
 // (pinned by test), because every insert opens a new tick window and
 // hits stamp strictly above it.
+//
+// The heap finds the victim without a scan. It is ordered on each
+// entry's recorded score, taken at insert; live scores only rise
+// (stamps move up, a cost is recorded once), so a recorded score is
+// never above the live one. Hits leave the heap alone. Eviction looks
+// at the top entry: if its live score has risen past the recorded one,
+// the top is re-keyed and sifted down and the next top examined;
+// otherwise no entry can score lower, and the top is the victim — the
+// same one a full scan picks (TestEvictionMatchesReferenceScan replays a
+// tape against that scan). Every hit costs at most one O(log n) re-key
+// later.
 //
 // The cost ledger is exposed per shard (ShardStat) and cache-wide
 // (CostStats): Added − Evicted − Removed equals the cost resident in the
@@ -68,5 +93,5 @@
 // elsewhere. For the uniformly-hashed keys the Service feeds it
 // (canonical terminal-set fingerprints) the difference from a global
 // policy is noise; the win is that no lookup ever touches another
-// shard's lock — or, on the hit path, any lock at all.
+// shard's lock.
 package cache

@@ -19,7 +19,7 @@ type box struct {
 
 // refCache is the mutex-guarded reference implementation: one global
 // lock, one plain map, the same conditional-op semantics as Cache but
-// none of the published-index machinery. The sequential equivalence test
+// no shards, heap or eviction. The sequential equivalence test
 // replays an op tape against both and reconciles every outcome.
 type refCache struct {
 	mu    sync.Mutex
@@ -78,13 +78,14 @@ func (r *refCache) len() int {
 var harnessShardCounts = []int{1, 2, 0, 64}
 
 // TestSequentialEquivalenceVsReference replays one randomized op tape
-// (GetOrAdd / Get / Add / Remove / SetCost) against the lock-free cache
-// and the mutex-guarded reference, reconciling every outcome per key:
+// (GetOrAdd / Get / Add / Remove / SetCost) against the sharded cache
+// and the single-mutex reference, reconciling every outcome per key:
 // same hit/insert decision, same value identity, same conditional-remove
 // verdict, same final occupancy. Capacity exceeds the key space so no
 // eviction fires — eviction *policy* is pinned separately by
-// TestSingleShardIsExactLRU and TestCostAwareEviction; this test pins
-// the published-index semantics against the one-lock model.
+// TestSingleShardIsExactLRU, TestCostAwareEviction and
+// TestEvictionMatchesReferenceScan; this test pins the sharded map's
+// semantics against the one-lock model.
 func TestSequentialEquivalenceVsReference(t *testing.T) {
 	const keys = 64
 	for _, shards := range harnessShardCounts {
@@ -181,8 +182,8 @@ func sumShardStats(c *Cache[*box]) ShardStat {
 // the closing counter algebra: entries == misses + warmFills − evictions
 // − removals == Σ shard entries ≤ capacity, and the cost ledger identity
 // resident == added − evicted − removed == Σ resident entry costs.
-// Run under -race, this doubles as the memory-model check on the
-// published-index swap.
+// Run under -race, this doubles as the memory-model check on hits that
+// raise stamps under the read lock while writers hold the write lock.
 func TestConcurrentHarnessInvariants(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	if prev < 32 {
@@ -217,7 +218,7 @@ func TestConcurrentHarnessInvariants(t *testing.T) {
 								return
 							}
 							held[key] = got
-						case 3: // lock-free Get
+						case 3: // read-locked Get
 							if got, ok := c.Get(key); ok && got.key != key {
 								t.Errorf("Get(%q) returned box for %q", key, got.key)
 								return
@@ -236,8 +237,8 @@ func TestConcurrentHarnessInvariants(t *testing.T) {
 								// Sequenced after a successful Remove, this
 								// goroutine must never see that box again:
 								// inserts always allocate fresh boxes, so
-								// observing v here means a stale index was
-								// published after the removal.
+								// observing v here means the removal did
+								// not take effect.
 								if got, okNow := c.Get(key); okNow && got == v {
 									t.Errorf("removed box for %q resurfaced", key)
 									return
@@ -286,12 +287,17 @@ func TestConcurrentHarnessInvariants(t *testing.T) {
 	}
 }
 
-// TestHitPathTakesNoLocks pins the tentpole claim with instrumentation:
-// once the working set is resident, an all-hit workload — concurrent
-// GetOrAdd and Get across every shard, plus stats scrapes — acquires
-// zero shard mutexes.
-func TestHitPathTakesNoLocks(t *testing.T) {
-	const keys = 128
+// TestHitPathTakesOneReadLock pins the lock cost of each path with
+// instrumentation: once the working set is resident, every hit —
+// concurrent GetOrAdd and Get across every shard — acquires exactly one
+// shard lock (the read lock), and the monitoring reads that run
+// alongside production scrapes acquire none.
+func TestHitPathTakesOneReadLock(t *testing.T) {
+	const (
+		keys    = 128
+		workers = 8
+		rounds  = 5000
+	)
 	c := New[*box](keys*MaxDefaultShards, 64)
 	allKeys := make([]string, keys)
 	for i := range allKeys {
@@ -302,12 +308,12 @@ func TestHitPathTakesNoLocks(t *testing.T) {
 	before := c.LockAcquisitions()
 
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 5000; i++ {
+			for i := 0; i < rounds; i++ {
 				k := allKeys[r.Intn(keys)]
 				if _, hit := c.GetOrAdd(k, func() *box { t.Errorf("miss for resident %q", k); return &box{key: k} }); !hit {
 					return
@@ -319,17 +325,122 @@ func TestHitPathTakesNoLocks(t *testing.T) {
 			}
 		}(w)
 	}
-	// Monitoring reads must not take locks either — they run concurrently
-	// with scrapes in production.
+	wg.Wait()
+	if got, want := c.LockAcquisitions()-before, uint64(2*workers*rounds); got != want {
+		t.Fatalf("%d hits acquired %d shard locks, want exactly one each", want, got)
+	}
+
+	before = c.LockAcquisitions()
 	c.Len()
 	c.ShardStats()
 	c.Occupancy()
 	c.CostStats()
-	c.Range(func(string, *box, int64) bool { return true })
-	wg.Wait()
-
+	c.WarmFills()
 	if after := c.LockAcquisitions(); after != before {
-		t.Fatalf("hit-only workload acquired %d shard locks, want 0", after-before)
+		t.Fatalf("stats reads acquired %d shard locks, want 0", after-before)
+	}
+}
+
+// referenceVictim is the eviction rule as a full scan over a shard's
+// residents — the implementation the heap replaced, kept as the oracle:
+// the entry with the lowest stamp + costBonus(cost), ties broken by the
+// oldest insert.
+func referenceVictim(s *shard[*box]) string {
+	var victim *entry[*box]
+	var vScore int64
+	for _, e := range s.idx {
+		score := e.liveScore()
+		if victim == nil || score < vScore || (score == vScore && e.seq < victim.seq) {
+			victim, vScore = e, score
+		}
+	}
+	return victim.key
+}
+
+// checkHeap asserts the shard's heap invariants: idx and heap hold the
+// same entries, every pos is right, the (score, seq) order holds, and no
+// recorded score is above its live score.
+func checkHeap(t *testing.T, s *shard[*box]) {
+	t.Helper()
+	if len(s.heap) != len(s.idx) || int(s.entries.Load()) != len(s.idx) {
+		t.Fatalf("heap %d, idx %d, entries %d disagree", len(s.heap), len(s.idx), s.entries.Load())
+	}
+	for i, e := range s.heap {
+		if e.pos != i || s.idx[e.key] != e {
+			t.Fatalf("heap slot %d holds %q with pos %d, idx %p", i, e.key, e.pos, s.idx[e.key])
+		}
+		if i > 0 && s.less(i, (i-1)/2) {
+			t.Fatalf("heap order broken at %d", i)
+		}
+		if e.score > e.liveScore() {
+			t.Fatalf("%q recorded score %d above live %d", e.key, e.score, e.liveScore())
+		}
+	}
+}
+
+// TestEvictionMatchesReferenceScan replays a seeded single-shard tape of
+// GetOrAdd, Get, Add, SetCost and Remove at capacity and checks every
+// victim the heap picks against referenceVictim, taken just before the
+// op. Costs span the bonus floor, so both the recency and the cost term
+// decide victims, and Gets re-stamp entries so the heap must re-key them.
+func TestEvictionMatchesReferenceScan(t *testing.T) {
+	const (
+		capacity = 32
+		keys     = 96
+		ops      = 20000
+	)
+	r := rand.New(rand.NewSource(1985))
+	c := New[*box](capacity, 1)
+	s := &c.shards[0]
+	resident := func() map[string]bool {
+		m := make(map[string]bool, len(s.idx))
+		for k := range s.idx {
+			m[k] = true
+		}
+		return m
+	}
+	victims := 0
+	for op := 0; op < ops; op++ {
+		key := fmt.Sprintf("k%02d", r.Intn(keys))
+		before := resident()
+		want := ""
+		if len(before) == capacity && !before[key] {
+			want = referenceVictim(s)
+		}
+		evictions := c.Evictions()
+		inserted := false
+		switch r.Intn(5) {
+		case 0:
+			_, hit := c.GetOrAdd(key, func() *box { return &box{key: key} })
+			inserted = !hit
+		case 1:
+			c.Get(key)
+		case 2:
+			inserted = c.Add(key, &box{key: key}, r.Int63n(1<<25))
+		case 3:
+			if v, ok := c.Get(key); ok {
+				c.SetCost(key, v, 1+r.Int63n(1<<25))
+			}
+		case 4:
+			if v, ok := s.idx[key]; ok && r.Intn(4) == 0 {
+				c.Remove(key, v.val)
+			}
+		}
+		checkHeap(t, s)
+		if !inserted || want == "" {
+			if c.Evictions() != evictions {
+				t.Fatalf("op %d evicted without a full-shard insert", op)
+			}
+			continue
+		}
+		victims++
+		after := resident()
+		if after[want] || !after[key] || len(after) != capacity || c.Evictions() != evictions+1 {
+			t.Fatalf("op %d: inserting %q should evict %q; resident before %v, after %v", op, key, want, before, after)
+		}
+	}
+	if victims < ops/10 {
+		t.Fatalf("only %d evictions over %d ops: tape does not stress the heap", victims, ops)
 	}
 }
 

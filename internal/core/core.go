@@ -311,7 +311,7 @@ func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig
 		}
 		return Connection{
 			Tree: tree, Method: MethodExact, Optimal: true,
-			Rationale: fmt.Sprintf("no chordality guarantee: exact search over %d terminals (exponential, Theorem 2 forbids better in general)", len(terminals)),
+			Rationale: exactRationale[len(terminals)],
 		}, nil
 	case MethodHeuristic:
 		tree, err := steiner.ApproximateFrozenShared(ctx, c.fb.G(), terminals, sh)
@@ -326,6 +326,17 @@ func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig
 		return Connection{}, fmt.Errorf("core: unknown method %v", m)
 	}
 }
+
+// exactRationale holds the exact solver's rationale for every terminal
+// count it accepts, built once: a cached answer then shares its
+// rationale string instead of carrying its own formatted copy.
+var exactRationale = func() [steiner.ExactTerminalLimit + 1]string {
+	var r [steiner.ExactTerminalLimit + 1]string
+	for k := range r {
+		r[k] = fmt.Sprintf("no chordality guarantee: exact search over %d terminals (exponential, Theorem 2 forbids better in general)", k)
+	}
+	return r
+}()
 
 // Interpretation is one candidate connection in a ranked enumeration:
 // a nonredundant cover of the query with its auxiliary (non-terminal)

@@ -78,9 +78,9 @@ func (r *Registry) Swap(name string, svc *Service, source string) uint64 {
 	// Carry the outgoing epoch's settled answers into the incoming
 	// service before publishing it, so a reinstall of the identical
 	// scheme (same fingerprint — WarmFrom verifies) does not restart the
-	// cache cold. Runs before the catalog lock is taken: the copy walks
-	// the old cache's published indexes and never stalls readers, and a
-	// racing swap on the same name at worst warms from an epoch that
+	// cache cold. Runs before the catalog lock is taken: the copy holds
+	// each old shard's read lock only long enough to list its entries,
+	// so it never stalls readers, and a racing swap on the same name at worst warms from an epoch that
 	// loses the race — entries are revalidated either way.
 	if prev, ok := r.Get(name); ok {
 		svc.WarmFrom(prev)

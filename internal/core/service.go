@@ -73,27 +73,58 @@ type Service struct {
 	sharedBuildDur   *metrics.Histogram
 }
 
-// cacheEntry is one cached (or in-flight) answer. done is closed once conn
-// and err are populated; waiters block on it outside the shard lock. The
-// key lives in the cache's own entry; this side carries the payload plus
-// the query that produced it (terms, fp) so warmup serialization and
-// epoch-swap carry-over can revalidate an entry without parsing keys.
+// cacheEntry is one cached (or in-flight) answer. done points at a
+// channel that is closed once conn and err are populated; waiters block
+// on it outside the shard lock. The key lives in the cache's own entry;
+// this side carries the payload plus the query that produced it (terms,
+// fp) so warmup serialization and epoch-swap carry-over can revalidate
+// an entry without parsing keys.
 type cacheEntry struct {
-	done  chan struct{}
+	done  atomic.Pointer[chan struct{}]
 	conn  Connection
 	err   error
 	terms intset.Set
 	fp    string
 }
 
-// settledDone is the pre-closed channel shared by every entry installed
-// already settled (warmup restore, epoch-swap carry): waiters never block
-// on it.
+// settledDone is the pre-closed channel shared by every settled entry.
+// Entries installed already settled (warmup restore, epoch-swap carry)
+// start on it, and a filled entry swaps its own channel for it once
+// closed, so a resident answer holds no channel of its own. A waiter
+// sees a closed channel whichever pointer it loads.
 var settledDone = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
 	return ch
 }()
+
+// newPendingEntry returns an in-flight entry with its own open channel.
+func newPendingEntry(terms intset.Set, fp string) *cacheEntry {
+	ent := &cacheEntry{terms: terms, fp: fp}
+	ch := make(chan struct{})
+	ent.done.Store(&ch)
+	return ent
+}
+
+// wait returns the channel that is closed once the entry is settled.
+func (e *cacheEntry) wait() <-chan struct{} { return *e.done.Load() }
+
+// settle wakes the entry's waiters — conn and err must already be
+// populated — and drops its own channel for the shared closed one.
+func (e *cacheEntry) settle() {
+	close(*e.done.Load())
+	e.done.Store(&settledDone)
+}
+
+// settled reports whether conn and err are final.
+func (e *cacheEntry) settled() bool {
+	select {
+	case <-e.wait():
+		return true
+	default:
+		return false
+	}
+}
 
 // DefaultCacheSize is the answer-cache capacity used when NewService is
 // not given a positive WithCacheSize. The capacity is split across the
@@ -201,24 +232,18 @@ func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfi
 		csp.AnnotateInt("shard", int64(s.cache.ShardIndex(key)))
 	}
 	for {
-		ent, hit := s.cache.GetOrAdd(key, func() *cacheEntry {
-			return &cacheEntry{done: make(chan struct{}), terms: terms, fp: fp}
-		})
+		ent, hit := s.cache.GetOrAdd(key, func() *cacheEntry { return newPendingEntry(terms, fp) })
 		if hit {
 			s.hits.Add(1)
 			outcome := "hit"
-			if tr != nil {
+			if tr != nil && !ent.settled() {
 				// Distinguish a settled hit from in-flight dedup without
 				// perturbing the traceless hot path: one extra
 				// non-blocking poll of done, only when tracing.
-				select {
-				case <-ent.done:
-				default:
-					outcome = "inflight"
-				}
+				outcome = "inflight"
 			}
 			select {
-			case <-ent.done:
+			case <-ent.wait():
 			case <-ctx.Done():
 				// The computing goroutine keeps going on its own context;
 				// this caller just stops waiting for it.
@@ -259,7 +284,7 @@ func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfi
 			if s.cache.Remove(key, ent) {
 				s.removals.Add(1)
 			}
-			close(ent.done)
+			ent.settle()
 		}()
 		start := time.Now()
 		ent.conn, ent.err = compute(ctx)
@@ -279,7 +304,7 @@ func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfi
 			// so a concurrent eviction + re-insert never inherits our cost.
 			s.cache.SetCost(key, ent, time.Since(start).Nanoseconds())
 		}
-		close(ent.done)
+		ent.settle()
 		return ent.conn, ent.err
 	}
 }
@@ -398,10 +423,9 @@ type CacheStats struct {
 func (s *Service) ShardStats() []cache.ShardStat { return s.cache.ShardStats() }
 
 // Stats returns current cache counters. A hit counts any lookup that found
-// an entry, including one still in flight. Counters are read atomically
-// and occupancy comes off the shards' published indexes, so a monitoring
-// poll never takes a lock at all — scrapes cannot perturb the serving
-// path.
+// an entry, including one still in flight. Counters and occupancy are
+// read atomically, so a monitoring poll never takes a lock at all —
+// scrapes cannot perturb the serving path.
 func (s *Service) Stats() CacheStats {
 	occ := s.cache.Occupancy()
 	entries := 0
@@ -435,7 +459,8 @@ func warmKey(fp string, terms intset.Set) string { return fp + "#" + terms.Key()
 
 // warmAdd installs an already-settled answer, if its key is absent.
 func (s *Service) warmAdd(fp string, terms intset.Set, conn Connection, costNanos int64) bool {
-	ent := &cacheEntry{done: settledDone, conn: conn, terms: terms, fp: fp}
+	ent := &cacheEntry{conn: conn, terms: terms, fp: fp}
+	ent.done.Store(&settledDone)
 	return s.cache.Add(warmKey(fp, terms), ent, costNanos)
 }
 
@@ -499,9 +524,7 @@ func (s *Service) WarmFrom(prev *Service) int {
 	}
 	installed := 0
 	prev.cache.Range(func(key string, ent *cacheEntry, costNanos int64) bool {
-		select {
-		case <-ent.done:
-		default:
+		if !ent.settled() {
 			return true // in flight: its outcome belongs to the old epoch
 		}
 		if ent.err != nil || s.c.Validate(ent.terms) != nil {
@@ -523,12 +546,7 @@ func (s *Service) WarmFrom(prev *Service) int {
 func (s *Service) WarmupEntries() []snapshot.WarmEntry {
 	var out []snapshot.WarmEntry
 	s.cache.Range(func(key string, ent *cacheEntry, costNanos int64) bool {
-		select {
-		case <-ent.done:
-		default:
-			return true
-		}
-		if ent.err != nil || ent.conn.Interps != nil {
+		if !ent.settled() || ent.err != nil || ent.conn.Interps != nil {
 			return true
 		}
 		we := snapshot.WarmEntry{

@@ -157,15 +157,23 @@ func coversBits(fg *graph.Frozen, alive, term graph.Bits, terminals []int, bsc *
 }
 
 // spanningTreeBits builds the Tree result for an alive cover into t,
-// reusing t's slice capacity (a fresh Tree yields exactly the allocation of
-// the result; a recycled one yields none). The walk replays
-// Frozen.SpanningTreeAlive verbatim — FIFO BFS from the smallest alive
-// node, neighbors in CSR order — so the edge list is bit-for-bit the one
-// the mutable path produces.
+// reusing t's slice capacity when it suffices (a recycled Tree allocates
+// nothing) and otherwise allocating each slice at exactly the result's
+// size, since a cached answer keeps its slices for as long as it stays
+// resident. The walk replays Frozen.SpanningTreeAlive verbatim — FIFO
+// BFS from the smallest alive node, neighbors in CSR order — so the edge
+// list is bit-for-bit the one the mutable path produces.
 func spanningTreeBits(fg *graph.Frozen, alive graph.Bits, sc *frozenScratch, t *Tree) error {
-	nodes := alive.AppendOnes([]int(t.Nodes)[:0])
+	nodes := []int(t.Nodes)[:0]
+	if n := alive.Count(); cap(nodes) < n {
+		nodes = make([]int, 0, n)
+	}
+	nodes = alive.AppendOnes(nodes)
 	t.Nodes = intset.Set(nodes)
 	t.Edges = t.Edges[:0]
+	if cap(t.Edges) < len(nodes)-1 {
+		t.Edges = make([]graph.Edge, 0, len(nodes)-1)
+	}
 	if len(nodes) == 0 {
 		return nil
 	}

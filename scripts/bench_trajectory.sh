@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pinned benchmark trajectory: run the serving-path benchmarks every PR
 # cares about (mutable-vs-frozen solver cost, hot cache serving, batch
-# throughput, and the bit-parallel kernels against their CSR fallbacks),
+# throughput, the bit-parallel kernels against their CSR fallbacks, and
+# the cache's miss-plus-eviction and warm-restore cost at capacity),
 # then fold them together with a chordalctl load-harness run into one
 # schema-versioned BENCH_<tag>.json so perf changes leave a diffable,
 # attributable trail next to the code.
@@ -38,6 +39,8 @@ trap 'rm -f "$RAW" "$MICRO"' EXIT
     -benchmem -benchtime "$BENCHTIME" -timeout 15m ./internal/core
   go test -run 'xxx' -bench 'BenchmarkKernel' \
     -benchmem -benchtime "$BENCHTIME" -timeout 15m ./internal/graph
+  go test -run 'xxx' -bench 'BenchmarkCacheMissEvict' \
+    -benchmem -benchtime "$BENCHTIME" -timeout 15m ./internal/cache
 } | tee "$RAW"
 
 # Distill "BenchmarkX/sub-8  N  ns/op  B/op  allocs/op" lines into JSON.
