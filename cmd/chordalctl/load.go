@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/httpd"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -435,7 +434,7 @@ func (t *traceTracker) has(tid string) bool {
 	return t.ids[tid]
 }
 
-// runPhase measures one phase: wall time, client-side latency histogram,
+// runPhase measures one phase: wall time, client-side latency quantiles,
 // error count, whole-process allocations (self mode measures itself) and
 // the target's cache-counter movement.
 func (d *loadDriver) runPhase(ctx context.Context, cfg loadConfig, name string, body func(issue func(poolQuery))) (phaseReport, error) {
@@ -444,7 +443,8 @@ func (d *loadDriver) runPhase(ctx context.Context, cfg loadConfig, name string, 
 		return phaseReport{}, fmt.Errorf("-load: stats before %s phase: %w", name, err)
 	}
 	d.tracker = newTraceTracker(cfg.seed, name)
-	hist := metrics.NewHistogram(metrics.DefLatencyBounds())
+	var latMu sync.Mutex
+	var latMS []float64
 	var requests, errors atomic.Int64
 	var m0, m1 runtime.MemStats
 	if cfg.target == "self" {
@@ -454,7 +454,10 @@ func (d *loadDriver) runPhase(ctx context.Context, cfg loadConfig, name string, 
 	body(func(q poolQuery) {
 		t0 := time.Now()
 		ok := d.issue(ctx, q)
-		hist.ObserveDuration(time.Since(t0))
+		ms := float64(time.Since(t0)) / float64(time.Millisecond)
+		latMu.Lock()
+		latMS = append(latMS, ms)
+		latMu.Unlock()
 		requests.Add(1)
 		if !ok {
 			errors.Add(1)
@@ -476,14 +479,15 @@ func (d *loadDriver) runPhase(ctx context.Context, cfg loadConfig, name string, 
 	if e := int(errors.Load()); e == n {
 		return phaseReport{}, fmt.Errorf("-load: every %s-phase request failed (%d of %d)", name, e, n)
 	}
+	lat := quantilesMS(latMS)
 	rep := phaseReport{
 		Requests: n,
 		Errors:   int(errors.Load()),
 		Seconds:  elapsed.Seconds(),
 		QPS:      float64(n) / elapsed.Seconds(),
-		P50ms:    hist.Quantile(0.50) * 1e3,
-		P95ms:    hist.Quantile(0.95) * 1e3,
-		P99ms:    hist.Quantile(0.99) * 1e3,
+		P50ms:    lat.P50ms,
+		P95ms:    lat.P95ms,
+		P99ms:    lat.P99ms,
 	}
 	if lookups := after.lookups() - before.lookups(); lookups > 0 {
 		rep.CacheHitRate = float64(after.hits-before.hits) / float64(lookups)
@@ -497,9 +501,9 @@ func (d *loadDriver) runPhase(ctx context.Context, cfg loadConfig, name string, 
 }
 
 // phaseSpans fetches the target's recent traces and aggregates the span
-// durations of this phase's marked requests into per-phase-name latency
-// quantiles. Best-effort by design: a target without tracing (or whose
-// ring already evicted our traces) just yields no phase breakdown.
+// durations of this phase's marked requests into exact per-phase-name
+// latency quantiles. Best-effort by design: a target without tracing (or
+// whose ring already evicted our traces) just yields no phase breakdown.
 func (d *loadDriver) phaseSpans(ctx context.Context, tk *traceTracker) (map[string]phaseQuantiles, int) {
 	if tk == nil {
 		return nil, 0
@@ -520,7 +524,7 @@ func (d *loadDriver) phaseSpans(ctx context.Context, tk *traceTracker) (map[stri
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		return nil, 0
 	}
-	hists := map[string]*metrics.Histogram{}
+	durs := map[string][]float64{}
 	found := 0
 	for _, rec := range tr.Traces {
 		if !tk.has(rec.TraceID) {
@@ -528,27 +532,26 @@ func (d *loadDriver) phaseSpans(ctx context.Context, tk *traceTracker) (map[stri
 		}
 		found++
 		for _, sp := range rec.Spans {
-			h := hists[sp.Name]
-			if h == nil {
-				h = metrics.NewHistogram(metrics.DefLatencyBounds())
-				hists[sp.Name] = h
-			}
-			h.Observe(sp.DurationMS / 1e3)
+			durs[sp.Name] = append(durs[sp.Name], sp.DurationMS)
 		}
 	}
-	if len(hists) == 0 {
+	if len(durs) == 0 {
 		return nil, found
 	}
-	out := make(map[string]phaseQuantiles, len(hists))
-	for name, h := range hists {
-		out[name] = phaseQuantiles{
-			Count: int(h.Count()),
-			P50ms: h.Quantile(0.50) * 1e3,
-			P95ms: h.Quantile(0.95) * 1e3,
-			P99ms: h.Quantile(0.99) * 1e3,
-		}
+	out := make(map[string]phaseQuantiles, len(durs))
+	for name, ms := range durs {
+		out[name] = quantilesMS(ms)
 	}
 	return out, found
+}
+
+// quantilesMS summarizes raw durations in milliseconds by their exact
+// nearest-rank p50/p95/p99: the smallest sample with at least p% of the
+// samples at or below it. It sorts ms in place; ms must not be empty.
+func quantilesMS(ms []float64) phaseQuantiles {
+	sort.Float64s(ms)
+	rank := func(p int) float64 { return ms[(p*len(ms)+99)/100-1] }
+	return phaseQuantiles{Count: len(ms), P50ms: rank(50), P95ms: rank(95), P99ms: rank(99)}
 }
 
 // issue POSTs one query and reports whether it answered 200.

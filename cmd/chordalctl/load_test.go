@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/httpd"
+	"repro/internal/trace"
 )
 
 // TestRunLoadSelf runs a very short self-mode load and checks the printed
@@ -128,5 +134,62 @@ func TestLoadFlagConflicts(t *testing.T) {
 		if err := run(args, strings.NewReader(""), &out, &errOut); err == nil {
 			t.Errorf("args %v accepted, want a flag-conflict error", args)
 		}
+	}
+}
+
+// TestPhaseSpansExactQuantiles pins the -load phase breakdown to exact
+// quantiles of the raw span durations: phases of 2 µs and 60 µs must
+// report their own p50s, not one interpolated value from a shared
+// latency bucket, and unmarked traces must not contribute.
+func TestPhaseSpansExactQuantiles(t *testing.T) {
+	tk := newTraceTracker(1, "warm")
+	var marked []string
+	for len(marked) < 3 {
+		if tp := tk.mark(); tp != "" {
+			marked = append(marked, strings.Split(tp, "-")[1])
+		}
+	}
+	// Per trace: cache 1/2/3 µs and solve 50/60/70 µs, all inside the
+	// first DefLatencyBounds bucket; the unmarked trace's 5 ms spans
+	// would drag every quantile up if they leaked in.
+	cacheMS := []float64{0.003, 0.001, 0.002, 5}
+	solveMS := []float64{0.070, 0.050, 0.060, 5}
+	var resp httpd.TracesResponse
+	for i, tid := range append(marked, "ffffffffffffffffffffffffffffffff") {
+		resp.Traces = append(resp.Traces, &trace.Recorded{TraceID: tid, Spans: []trace.RecordedSpan{
+			{Name: "cache", DurationMS: cacheMS[i]},
+			{Name: "solve", DurationMS: solveMS[i]},
+		}})
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(resp)
+	}))
+	defer srv.Close()
+
+	d := &loadDriver{base: srv.URL, client: srv.Client()}
+	phases, found := d.phaseSpans(context.Background(), tk)
+	if found != len(marked) {
+		t.Fatalf("found %d marked traces, want %d", found, len(marked))
+	}
+	want := map[string]phaseQuantiles{
+		"cache": {Count: 3, P50ms: 0.002, P95ms: 0.003, P99ms: 0.003},
+		"solve": {Count: 3, P50ms: 0.060, P95ms: 0.070, P99ms: 0.070},
+	}
+	for name, w := range want {
+		if got := phases[name]; got != w {
+			t.Errorf("phase %s = %+v, want %+v", name, got, w)
+		}
+	}
+	if phases["cache"].P50ms == phases["solve"].P50ms {
+		t.Errorf("2 µs and 60 µs phases report the same p50 %v", phases["cache"].P50ms)
+	}
+
+	// Nearest rank over 1..100 is the identity on the percentile.
+	ms := make([]float64, 100)
+	for i := range ms {
+		ms[100-1-i] = float64(i + 1) // unsorted on purpose
+	}
+	if got := quantilesMS(ms); got != (phaseQuantiles{Count: 100, P50ms: 50, P95ms: 95, P99ms: 99}) {
+		t.Errorf("quantilesMS(1..100) = %+v", got)
 	}
 }

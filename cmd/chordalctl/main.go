@@ -56,8 +56,8 @@
 // run would mostly measure file parsing.
 //
 // A -serve run traces every request end to end (W3C traceparent in,
-// ctx-propagated phase spans through limiter, decode, cache, planner,
-// solver and render). -trace-sample sets the head-sampling probability
+// ctx-propagated phase spans through limiter, decode, cache, solver and
+// render). -trace-sample sets the head-sampling probability
 // (default 0); traces of errored requests and of queries slower than
 // -slow-query-ms (default 500, 0 disables) are always retained. Recent
 // retained traces are served on GET /v1/traces, and each slow query

@@ -108,23 +108,14 @@ func (f *Frozen) HypergraphV2() Correspondence {
 	return f.hypergraphSide(graph.Side2, nil)
 }
 
-// HypergraphV1Alive is HypergraphV1 restricted to the alive nodes: only
-// alive V1 nodes become hypergraph nodes, only alive V2 nodes with at least
-// one alive neighbour contribute edges. alive == nil means all nodes. For a
-// connected-component mask this equals Induced(component).HypergraphV1() up
-// to the id mapping, without building the induced copy.
-func (f *Frozen) HypergraphV1Alive(alive []bool) Correspondence {
-	if alive == nil {
-		return f.hypergraphSide(graph.Side1, nil)
-	}
-	return f.hypergraphSide(graph.Side1, func(v int) bool { return alive[v] })
-}
-
-// HypergraphV1AliveBits is HypergraphV1Alive over a packed graph.Bits
-// alive mask — the representation the word-parallel solver kernels
-// (internal/steiner) keep their masks in, so Algorithm 1's frozen path
-// never expands a mask back into []bool. alive == nil means all nodes.
-// Results are identical to HypergraphV1Alive on the unpacked mask.
+// HypergraphV1AliveBits is HypergraphV1 restricted to the nodes of the
+// packed alive mask: only alive V1 nodes become hypergraph nodes, only
+// alive V2 nodes with at least one alive neighbour contribute edges.
+// alive == nil means all nodes. For a connected-component mask this equals
+// Induced(component).HypergraphV1() up to the id mapping, without building
+// the induced copy. The mask is the representation the word-parallel
+// solver kernels (internal/steiner) keep, so Algorithm 1's frozen path
+// never expands it into []bool.
 func (f *Frozen) HypergraphV1AliveBits(alive graph.Bits) Correspondence {
 	if alive == nil {
 		return f.hypergraphSide(graph.Side1, nil)

@@ -82,20 +82,17 @@ func TestFrozenHypergraphAliveMatchesInduced(t *testing.T) {
 		b := gen.RandomConnectedBipartite(r, 3+r.Intn(8), 3+r.Intn(8), 0.3)
 		f := b.Freeze()
 		// Restrict to a random connected-ish subset containing node 0.
-		alive := make([]bool, b.N())
-		for v := range alive {
-			alive[v] = r.Float64() < 0.75
-		}
-		alive[0] = true
+		alive := graph.NewBits(b.N())
 		var keep []int
-		for v, a := range alive {
-			if a {
+		for v := 0; v < b.N(); v++ {
+			if r.Float64() < 0.75 || v == 0 {
+				alive.Set(v)
 				keep = append(keep, v)
 			}
 		}
 		sub, _ := b.Induced(keep)
 		want := sub.HypergraphV1().H
-		got := f.HypergraphV1Alive(alive).H
+		got := f.HypergraphV1AliveBits(alive).H
 		if !want.Equal(got) {
 			t.Fatalf("alive-restricted H1 differs from induced H1:\n%v\n%v", want, got)
 		}

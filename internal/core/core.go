@@ -206,17 +206,10 @@ func (c *Connector) connect(ctx context.Context, terminals []int, q queryConfig)
 // connectValidated is connect minus the boundary checks — the entry point
 // for Service, which validates once itself before consulting the cache.
 func (c *Connector) connectValidated(ctx context.Context, terminals []int, q queryConfig) (Connection, error) {
-	return c.connectShared(ctx, terminals, q, nil)
-}
-
-// connectShared is connectValidated with precomputed batch-planner work
-// threaded through to the solvers (sh may be nil). Answers are identical
-// with or without sh; the Shared only removes repeated BFS floods.
-func (c *Connector) connectShared(ctx context.Context, terminals []int, q queryConfig, sh *steiner.Shared) (Connection, error) {
 	if err := ctx.Err(); err != nil {
 		return Connection{}, err
 	}
-	conn, err := c.dispatch(ctx, terminals, q, sh)
+	conn, err := c.dispatch(ctx, terminals, q)
 	if err != nil {
 		return Connection{}, err
 	}
@@ -231,9 +224,7 @@ func (c *Connector) connectShared(ctx context.Context, terminals []int, q queryC
 }
 
 // resolveMethod folds MethodAuto down to the concrete solver the
-// classification selects for this terminal count — shared by dispatch and
-// the batch planner (which must predict the solver to know whether
-// precomputed distance rows will be used).
+// classification selects for this terminal count.
 func (c *Connector) resolveMethod(q queryConfig, nTerminals int) Method {
 	m := q.method
 	if m != MethodAuto {
@@ -264,11 +255,11 @@ func (c *Connector) resolveMethod(q queryConfig, nTerminals int) Method {
 // dispatch picks the solver — by classification for MethodAuto, as forced
 // otherwise — and stamps the guarantee flags the scheme's class actually
 // supports (a forced method never claims an optimality the class does not
-// prove). sh, when non-nil, supplies precomputed batch work to the solvers.
-func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig, sh *steiner.Shared) (Connection, error) {
+// prove).
+func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig) (Connection, error) {
 	switch m := c.resolveMethod(q, len(terminals)); m {
 	case MethodAlgorithm2:
-		tree, err := steiner.Algorithm2FrozenShared(ctx, c.fb.G(), terminals, sh)
+		tree, err := steiner.Algorithm2Frozen(ctx, c.fb.G(), terminals)
 		if err != nil {
 			return Connection{}, err
 		}
@@ -278,7 +269,7 @@ func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig
 			// (6,2)-chordal ⟹ (6,1)-chordal ⟹ V1-chordal ∧ V1-conformal
 			// (Corollary 2), Algorithm 1 also applies here: use it to certify
 			// (or refute) V2-minimality of the Theorem 5 tree.
-			if t1, err1 := steiner.Algorithm1FrozenShared(ctx, c.fb, terminals, sh); err1 == nil {
+			if t1, err1 := steiner.Algorithm1Frozen(ctx, c.fb, terminals); err1 == nil {
 				conn.V2Optimal = steiner.V2CountFrozen(c.fb, tree) == steiner.V2CountFrozen(c.fb, t1)
 			} else if err := ctx.Err(); err != nil {
 				return Connection{}, err
@@ -289,7 +280,7 @@ func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig
 		}
 		return conn, nil
 	case MethodAlgorithm1:
-		tree, err := steiner.Algorithm1FrozenShared(ctx, c.fb, terminals, sh)
+		tree, err := steiner.Algorithm1Frozen(ctx, c.fb, terminals)
 		if err != nil {
 			return Connection{}, err
 		}
@@ -301,7 +292,7 @@ func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig
 		}
 		return conn, nil
 	case MethodExact:
-		tree, err := steiner.ExactFrozenShared(ctx, c.fb.G(), terminals, sh)
+		tree, err := steiner.ExactFrozen(ctx, c.fb.G(), terminals)
 		if err != nil {
 			if errors.Is(err, steiner.ErrTooManyTerminals) {
 				return Connection{}, fmt.Errorf("%w: %d terminals exceed the exact solver's hard limit of %d",
@@ -314,7 +305,7 @@ func (c *Connector) dispatch(ctx context.Context, terminals []int, q queryConfig
 			Rationale: exactRationale[len(terminals)],
 		}, nil
 	case MethodHeuristic:
-		tree, err := steiner.ApproximateFrozenShared(ctx, c.fb.G(), terminals, sh)
+		tree, err := steiner.ApproximateFrozen(ctx, c.fb.G(), terminals)
 		if err != nil {
 			return Connection{}, err
 		}

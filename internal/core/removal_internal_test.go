@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bipartite"
-	"repro/internal/steiner"
 )
 
 // tinyScheme is a two-attribute, one-relation scheme: the cheapest
@@ -21,10 +20,26 @@ func tinyScheme() *bipartite.Graph {
 	return b
 }
 
-// TestPanicPathReconciles drives the one compute path that cannot be
-// reached through the public API — a panic inside the computation — by
-// handing connectWith a shared-work provider that blows up (the provider
-// runs inside the panic-protected compute region). The recovery must
+// panicCtx is a live context whose Err panics on every call after the
+// first. Service.Connect checks ctx once before touching the cache, so
+// the first call passes and the panic fires inside the compute region,
+// at the connector's own cancellation check. Single-goroutine use only.
+type panicCtx struct {
+	context.Context
+	calls int
+}
+
+func (c *panicCtx) Err() error {
+	c.calls++
+	if c.calls > 1 {
+		panic("injected")
+	}
+	return nil
+}
+
+// TestPanicPathReconciles drives the one compute path that no real
+// caller reaches — a panic inside the computation — through a context
+// whose Err panics once the pre-cache check has passed. The recovery must
 // evict the half-built entry, count it as a removal so the residency
 // algebra still reconciles, and leave the key clean for the next caller.
 func TestPanicPathReconciles(t *testing.T) {
@@ -34,11 +49,10 @@ func TestPanicPathReconciles(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("panicking provider did not propagate")
+				t.Fatal("panicking computation did not propagate")
 			}
 		}()
-		boom := func() *steiner.Shared { panic("injected") }
-		_, _ = svc.connectWith(context.Background(), terms, newQueryConfig(nil), boom)
+		_, _ = svc.Connect(&panicCtx{Context: context.Background()}, terms)
 	}()
 
 	st := svc.Stats()

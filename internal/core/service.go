@@ -65,12 +65,9 @@ type Service struct {
 	// capacity eviction or by a removal.
 	removals atomic.Uint64
 
-	// Planner observability: the size of every non-singleton batch group
-	// and the wall time of every lazy Shared build. Owned here (one pair
-	// per scheme) and bridged onto /metrics per scheme via
-	// Registry.HistogramFunc — see PlannerStats.
-	plannerGroupSize *metrics.Histogram
-	sharedBuildDur   *metrics.Histogram
+	// now times each solve; the wall time becomes the entry's eviction
+	// cost. Always time.Now outside tests.
+	now func() time.Time
 }
 
 // cacheEntry is one cached (or in-flight) answer. done points at a
@@ -153,20 +150,17 @@ func NewService(c *Connector, opts ...Option) *Service {
 		c:       c,
 		workers: cfg.workers,
 		cache:   cache.New[*cacheEntry](cfg.cacheSize, cfg.cacheShards),
-		// Group sizes are small integers: powers of two up to 256 resolve
-		// "pairs" from "whole-batch coalescence". Build durations use the
-		// standard latency layout.
-		plannerGroupSize: metrics.NewHistogram(metrics.ExponentialBounds(2, 2, 8)),
-		sharedBuildDur:   metrics.NewHistogram(metrics.DefLatencyBounds()),
+		now:     time.Now,
 	}
 }
 
-// PlannerStats returns the batch-planner histograms: the distribution of
-// non-singleton group sizes (in queries) and of lazy Shared-build wall
-// times (in seconds). Both are live instruments — /metrics renders them
-// at scrape time.
+// PlannerStats is a stub: there is no batch planner, so it returns two
+// fresh, empty histograms on every call. It exists only so the servebench
+// module, which still reads it, compiles; ROADMAP item 6 drops that call,
+// and this method with it.
 func (s *Service) PlannerStats() (groupSize, sharedBuild *metrics.Histogram) {
-	return s.plannerGroupSize, s.sharedBuildDur
+	bounds := metrics.DefLatencyBounds()
+	return metrics.NewHistogram(bounds), metrics.NewHistogram(bounds)
 }
 
 // Connector returns the wrapped Connector.
@@ -184,24 +178,15 @@ func (s *Service) SaveSnapshot(w io.Writer) error { return s.c.WriteSnapshot(w) 
 // collides with the default answer. WithCacheBypass skips the cache in
 // both directions.
 func (s *Service) Connect(ctx context.Context, terminals []int, opts ...QueryOption) (Connection, error) {
-	return s.connectWith(ctx, terminals, newQueryConfig(opts), nil)
+	return s.connect(ctx, terminals, newQueryConfig(opts))
 }
 
-// connectWith is Connect after option folding, with an optional provider of
-// batch-planner shared work. The provider is consulted only when a query
-// actually computes (cache miss or bypass), so a warm batch never builds
-// its Shared at all.
-func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfig, shared func() *steiner.Shared) (Connection, error) {
+// connect is Connect after option folding.
+func (s *Service) connect(ctx context.Context, terminals []int, q queryConfig) (Connection, error) {
 	tr := trace.FromContext(ctx)
 	compute := func(ctx context.Context) (Connection, error) {
-		// The planner's lazy Shared build traces itself (planner.go), so
-		// the solve span covers exactly the dispatch + solver run.
-		var sh *steiner.Shared
-		if shared != nil {
-			sh = shared()
-		}
 		sp := tr.StartSpan("solve")
-		conn, err := s.c.connectShared(ctx, terminals, q, sh)
+		conn, err := s.c.connectValidated(ctx, terminals, q)
 		if err == nil {
 			sp.Annotate("method", conn.Method.String())
 		}
@@ -286,7 +271,7 @@ func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfi
 			}
 			ent.settle()
 		}()
-		start := time.Now()
+		start := s.now()
 		ent.conn, ent.err = compute(ctx)
 		completed = true
 		if isCtxErr(ent.err) {
@@ -302,7 +287,7 @@ func (s *Service) connectWith(ctx context.Context, terminals []int, q queryConfi
 			// prefer dropping cheap-to-recompute entries, and a persisted
 			// warmup carries it forward. Identity-conditional like Remove,
 			// so a concurrent eviction + re-insert never inherits our cost.
-			s.cache.SetCost(key, ent, time.Since(start).Nanoseconds())
+			s.cache.SetCost(key, ent, s.now().Sub(start).Nanoseconds())
 		}
 		ent.settle()
 		return ent.conn, ent.err
@@ -324,27 +309,15 @@ type BatchResult struct {
 // ConnectBatch answers all queries concurrently on at most workers
 // goroutines and returns the results in query order; opts apply to every
 // query of the batch. Duplicate terminal sets inside one batch are
-// computed once via the cache. Queries that share terminals are grouped by
-// the batch planner (planner.go) so the group's component masks and
-// distance rows are flooded once and read by every member — the answers
-// are bit-for-bit those of independent Connect calls. Once ctx is done the
-// remaining queries fail fast with its error.
+// computed once via the cache. Each query takes exactly the path of an
+// independent Connect call, so the answers are bit-for-bit the same. Once
+// ctx is done the remaining queries fail fast with its error.
 func (s *Service) ConnectBatch(ctx context.Context, queries [][]int, opts ...QueryOption) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
 		return out
 	}
 	q := newQueryConfig(opts)
-	plan := planBatch(s.c, queries, q)
-	if plan != nil {
-		seen := make(map[*batchGroup]bool)
-		for _, g := range plan.groups {
-			if g != nil && !seen[g] {
-				seen[g] = true
-				s.plannerGroupSize.Observe(float64(g.queries))
-			}
-		}
-	}
 	workers := s.workers
 	if workers > len(queries) {
 		workers = len(queries)
@@ -356,11 +329,7 @@ func (s *Service) ConnectBatch(ctx context.Context, queries [][]int, opts ...Que
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				var shared func() *steiner.Shared
-				if g := plan.group(i); g != nil {
-					shared = func() *steiner.Shared { return g.shared(ctx, s) }
-				}
-				conn, err := s.connectWith(ctx, queries[i], q, shared)
+				conn, err := s.connect(ctx, queries[i], q)
 				out[i] = BatchResult{Terminals: queries[i], Conn: conn, Err: err}
 			}
 		}()
@@ -453,7 +422,7 @@ func (s *Service) Stats() CacheStats {
 }
 
 // warmKey rebuilds the cache key for a warm install — the same
-// composition connectWith uses, so a restored entry is hit by exactly
+// composition connect uses, so a restored entry is hit by exactly
 // the query that produced it.
 func warmKey(fp string, terms intset.Set) string { return fp + "#" + terms.Key() }
 

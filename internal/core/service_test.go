@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
@@ -19,6 +20,17 @@ import (
 func sameConnection(a, b core.Connection) bool {
 	return a.Method == b.Method && a.Optimal == b.Optimal &&
 		a.V2Optimal == b.V2Optimal && a.Tree.Nodes.Equal(b.Tree.Nodes)
+}
+
+// exactLRU freezes svc's solve clock and returns svc. A solve that the
+// scheduler stretches past ~0.5ms would otherwise earn a cost-aware
+// eviction bonus and change the victim; with every cost zero, a
+// single-shard cache evicts in exact LRU order, which the eviction tests
+// here pin.
+func exactLRU(svc *core.Service) *core.Service {
+	t0 := time.Now()
+	core.SetSolveClock(svc, func() time.Time { return t0 })
+	return svc
 }
 
 // distinctTerms draws k distinct node ids.
@@ -63,7 +75,7 @@ func TestServiceCacheCountsAndEviction(t *testing.T) {
 	conn := core.New(b)
 	// One shard: the test pins *global* LRU counting and eviction, which
 	// only a single-shard cache guarantees (capacity 2 forces eviction).
-	svc := core.NewService(conn, core.WithWorkers(1), core.WithCacheSize(2), core.WithCacheShards(1))
+	svc := exactLRU(core.NewService(conn, core.WithWorkers(1), core.WithCacheSize(2), core.WithCacheShards(1)))
 	q1 := b.G().IDs("A", "C")
 	q2 := b.G().IDs("A", "B")
 	q3 := b.G().IDs("B", "C")
@@ -101,7 +113,7 @@ func TestServiceLRUEvictionOrder(t *testing.T) {
 	b := fixtures.Fig3b()
 	// One shard: eviction order is only globally-LRU when one list holds
 	// every entry.
-	svc := core.NewService(core.New(b), core.WithCacheSize(2), core.WithCacheShards(1))
+	svc := exactLRU(core.NewService(core.New(b), core.WithCacheSize(2), core.WithCacheShards(1)))
 	q1 := b.G().IDs("A", "C")
 	q2 := b.G().IDs("A", "B")
 	q3 := b.G().IDs("B", "C")

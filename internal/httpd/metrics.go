@@ -131,10 +131,6 @@ func (h *Handler) initMetrics() {
 		func(ss cache.ShardStat) float64 { return float64(ss.Evictions) })
 	shardStat(MetricShardEntries, "Answer-cache resident entries per scheme and lock shard.", true,
 		func(ss cache.ShardStat) float64 { return float64(ss.Entries) })
-
-	// Per-scheme batch-planner histograms (trace.go) ride the same
-	// scrape-time bridge pattern.
-	h.initPlannerMetrics(m)
 }
 
 // cacheSamples adapts a CacheStats projection into a scrape-time sampler

@@ -14,8 +14,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -99,45 +97,4 @@ func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// Planner metric names exported on GET /metrics.
-const (
-	MetricPlannerGroupSize   = "chordal_planner_group_size"
-	MetricPlannerSharedBuild = "chordal_planner_shared_build_seconds"
-)
-
-// initPlannerMetrics bridges the per-scheme planner histograms each
-// core.Service owns onto the scrape, one labelled series per registered
-// scheme. Schemes dropped between Names and Get simply contribute no
-// sample — same copy-on-write race discipline as the cache bridges.
-func (h *Handler) initPlannerMetrics(m *metrics.Registry) {
-	plannerHist := func(name, help string, f func(*core.Service) *metrics.Histogram) {
-		m.HistogramFunc(name, help, func() []metrics.HistogramSample {
-			var out []metrics.HistogramSample
-			for _, name := range h.reg.Names() {
-				svc, ok := h.reg.Get(name)
-				if !ok {
-					continue
-				}
-				out = append(out, metrics.HistogramSample{
-					Labels: []metrics.Label{metrics.L("scheme", name)},
-					H:      f(svc),
-				})
-			}
-			return out
-		})
-	}
-	plannerHist(MetricPlannerGroupSize,
-		"Batch-planner group sizes (queries per shared-work group), per scheme.",
-		func(svc *core.Service) *metrics.Histogram {
-			gs, _ := svc.PlannerStats()
-			return gs
-		})
-	plannerHist(MetricPlannerSharedBuild,
-		"Wall time to build one planner group's shared precomputation, per scheme.",
-		func(svc *core.Service) *metrics.Histogram {
-			_, sb := svc.PlannerStats()
-			return sb
-		})
 }

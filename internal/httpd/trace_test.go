@@ -146,9 +146,9 @@ func TestSlowQueryForensics(t *testing.T) {
 		t.Fatalf("root scheme attr = %v, want grid", got)
 	}
 
-	// Top-level phase spans (limiter, decode, cache, planner, solve,
-	// render — not the nested solve.* phases) must tile the request:
-	// their sum within 10% of the measured wall time.
+	// Top-level phase spans (limiter, decode, cache, solve, render — not
+	// the nested solve.* phases) must tile the request: their sum within
+	// 10% of the measured wall time.
 	var phaseSum float64
 	solveAttrs := map[string]any{}
 	for _, sp := range rec.Spans[1:] {
@@ -323,12 +323,9 @@ func TestTracesAndMetricsDuringRegistryChurn(t *testing.T) {
 	}
 
 	// A final scrape after the churn settles must still render the
-	// planner histograms for every surviving scheme.
+	// per-scheme series for every surviving scheme.
 	scrape := do(t, h, "GET", "/metrics", "").Body.String()
-	if !strings.Contains(scrape, MetricPlannerGroupSize+"_count{scheme=\"lib\"}") {
-		t.Errorf("planner group-size series for lib missing from scrape")
-	}
-	if !strings.Contains(scrape, MetricPlannerSharedBuild) {
-		t.Errorf("planner shared-build series missing from scrape")
+	if !strings.Contains(scrape, MetricCacheEntries+"{scheme=\"lib\"}") {
+		t.Errorf("cache-entries series for lib missing from scrape")
 	}
 }

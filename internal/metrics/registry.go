@@ -24,16 +24,6 @@ type Sample struct {
 	Value  float64
 }
 
-// HistogramSample is one dynamically produced histogram series: its
-// labels and the live *Histogram whose buckets are rendered at scrape
-// time. HistogramFunc callbacks return these — the bridge for
-// histograms whose owner comes and goes at runtime (per-scheme planner
-// instruments owned by each core.Service).
-type HistogramSample struct {
-	Labels []Label
-	H      *Histogram
-}
-
 // Registry collects instruments and renders them in the Prometheus text
 // exposition format. Metric families keep registration order so scrapes
 // are deterministic; series within a family render in label order. All
@@ -56,7 +46,6 @@ type family struct {
 	histograms      map[string]*Histogram
 	labels          map[string][]Label
 	sampler         func() []Sample
-	hsampler        func() []HistogramSample
 }
 
 // NewRegistry returns an empty registry.
@@ -85,7 +74,7 @@ func (r *Registry) familyFor(name, help, typ string) *family {
 	if f.typ != typ {
 		panic(fmt.Sprintf("metrics: %s registered as both %s and %s", name, f.typ, typ))
 	}
-	if f.sampler != nil || f.hsampler != nil {
+	if f.sampler != nil {
 		panic(fmt.Sprintf("metrics: %s is a sampler family; cannot add static series", name))
 	}
 	return f
@@ -187,20 +176,6 @@ func (r *Registry) registerSampler(name, help, typ string, f func() []Sample) {
 	r.order = append(r.order, name)
 }
 
-// HistogramFunc registers a whole histogram family produced by f at
-// scrape time. Each returned HistogramSample renders its live histogram
-// (buckets, sum, count, exemplar) under the family name with the
-// sample's labels. The name must not collide with any other family.
-func (r *Registry) HistogramFunc(name, help string, f func() []HistogramSample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.families[name]; ok {
-		panic(fmt.Sprintf("metrics: %s registered twice", name))
-	}
-	r.families[name] = &family{name: name, help: help, typ: "histogram", hsampler: f}
-	r.order = append(r.order, name)
-}
-
 // WritePrometheus renders every registered family in the text exposition
 // format (version 0.0.4): a # HELP and # TYPE header per family, then one
 // line per series. Sampler families run their callback; histogram series
@@ -218,14 +193,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	type famSnap struct {
 		name, help, typ string
 		sampler         func() []Sample
-		hsampler        func() []HistogramSample
 		series          []series
 	}
 	r.mu.Lock()
 	snaps := make([]famSnap, 0, len(r.order))
 	for _, name := range r.order {
 		f := r.families[name]
-		fs := famSnap{name: f.name, help: f.help, typ: f.typ, sampler: f.sampler, hsampler: f.hsampler}
+		fs := famSnap{name: f.name, help: f.help, typ: f.typ, sampler: f.sampler}
 		for _, sig := range f.order {
 			fs.series = append(fs.series, series{
 				labels: f.labels[sig],
@@ -245,13 +219,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if f.sampler != nil {
 			for _, s := range f.sampler() {
 				writeSeries(&b, f.name, s.Labels, nil, s.Value)
-			}
-		}
-		if f.hsampler != nil {
-			for _, s := range f.hsampler() {
-				if s.H != nil {
-					writeHistogram(&b, f.name, s.Labels, s.H)
-				}
 			}
 		}
 		for _, s := range f.series {

@@ -21,13 +21,8 @@
 // through the bit-parallel wave kernels when the view carries a compiled
 // adjacency matrix (falling back to CSR walks otherwise), and all
 // per-query scratch — alive/terminal masks, distance rows, the flat
-// Dreyfus–Wagner tables — is drawn from a sync.Pool. The *Into variants
-// (Algorithm2FrozenInto, ...) additionally reuse the caller's Tree
-// capacity, making steady-state queries allocation-free. Frozen answers
+// Dreyfus–Wagner tables — is drawn from a sync.Pool. Algorithm2FrozenInto
+// additionally reuses the caller's Tree capacity, making steady-state
+// queries allocation-free. Frozen answers
 // are bit-for-bit identical to the mutable path, errors included.
-//
-// Shared captures batch-level reusable work (terminal component masks and
-// BFS distance rows): build one with NewShared + Precompute, then pass it
-// to the *FrozenShared entry points from any number of concurrent
-// queries. A nil *Shared is always valid and means "no precomputed work".
 package steiner

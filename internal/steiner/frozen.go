@@ -115,18 +115,10 @@ func termMask(sc *frozenScratch, terminals []int) graph.Bits {
 
 // componentAliveBits writes the alive mask of the connected component of fg
 // containing all terminals into dst and returns it, or an error when the
-// terminals span components. When a batch-planner Shared knows the
-// component already, the precomputed mask is copied instead of re-flooding.
-func componentAliveBits(fg *graph.Frozen, terminals []int, sh *Shared, sc *frozenScratch, dst graph.Bits) (graph.Bits, error) {
+// terminals span components.
+func componentAliveBits(fg *graph.Frozen, terminals []int, sc *frozenScratch, dst graph.Bits) (graph.Bits, error) {
 	if len(terminals) == 0 {
 		return nil, ErrEmptyTerminals
-	}
-	if mask, known := sh.component(terminals); known {
-		if mask == nil {
-			return nil, ErrDisconnectedTerminals
-		}
-		dst.CopyFrom(mask)
-		return dst, nil
 	}
 	mask, ok := fg.ComponentBits(terminals, sc.bit)
 	if !ok {
@@ -219,11 +211,10 @@ func terminalsConnectedBits(fg *graph.Frozen, alive, term graph.Bits, terminals 
 }
 
 // eliminateFrozen is the Definition 11 single-pass redundant-node
-// elimination over a packed alive mask, shared by EliminateOrderedFrozen,
-// Algorithm2Frozen and the batch planner. identity selects the id-order
-// fast path: the pass iterates 0..n-1 directly and never materializes a
-// per-query order slice.
-func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []int, identity bool, sh *Shared, t *Tree) error {
+// elimination over a packed alive mask, shared by EliminateOrderedFrozen
+// and Algorithm2Frozen. identity selects the id-order fast path: the pass
+// iterates 0..n-1 directly and never materializes a per-query order slice.
+func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []int, identity bool, t *Tree) error {
 	// Phase spans no-op on a traceless ctx (nil *Trace, zero SpanRef), so
 	// the zero-alloc pin and the hot benchmarks are untouched.
 	tr := trace.FromContext(ctx)
@@ -231,7 +222,7 @@ func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []i
 	sc := getScratch(n)
 	defer sc.release()
 	psp := tr.StartSpan("solve.probe")
-	alive, err := componentAliveBits(fg, terminals, sh, sc, sc.alive)
+	alive, err := componentAliveBits(fg, terminals, sc, sc.alive)
 	psp.End()
 	if err != nil {
 		return err
@@ -287,31 +278,18 @@ func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []i
 // context is checked every cancelStride removals.
 func EliminateOrderedFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []int) (Tree, error) {
 	var t Tree
-	if err := EliminateOrderedFrozenInto(ctx, fg, terminals, order, &t); err != nil {
+	if err := eliminateFrozen(ctx, fg, terminals, order, false, &t); err != nil {
 		return Tree{}, err
 	}
 	return t, nil
-}
-
-// EliminateOrderedFrozenInto is EliminateOrderedFrozen appending into t,
-// reusing its node/edge capacity — the allocation-free form for callers
-// that recycle result buffers.
-func EliminateOrderedFrozenInto(ctx context.Context, fg *graph.Frozen, terminals, order []int, t *Tree) error {
-	return eliminateFrozen(ctx, fg, terminals, order, false, nil, t)
 }
 
 // Algorithm2Frozen is Algorithm2 on a frozen graph (Theorem 5): redundant-
 // node elimination in id order, minimum on (6,2)-chordal bipartite graphs.
 // The id order is implicit — no per-query order slice is built.
 func Algorithm2Frozen(ctx context.Context, fg *graph.Frozen, terminals []int) (Tree, error) {
-	return Algorithm2FrozenShared(ctx, fg, terminals, nil)
-}
-
-// Algorithm2FrozenShared is Algorithm2Frozen drawing component masks from a
-// batch-planner Shared (nil behaves like Algorithm2Frozen).
-func Algorithm2FrozenShared(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared) (Tree, error) {
 	var t Tree
-	if err := eliminateFrozen(ctx, fg, terminals, nil, true, sh, &t); err != nil {
+	if err := eliminateFrozen(ctx, fg, terminals, nil, true, &t); err != nil {
 		return Tree{}, err
 	}
 	return t, nil
@@ -321,7 +299,7 @@ func Algorithm2FrozenShared(ctx context.Context, fg *graph.Frozen, terminals []i
 // node/edge capacity. On a warm scratch pool a steady-state call performs
 // zero allocations (see TestAlgorithm2FrozenZeroAlloc).
 func Algorithm2FrozenInto(ctx context.Context, fg *graph.Frozen, terminals []int, t *Tree) error {
-	return eliminateFrozen(ctx, fg, terminals, nil, true, nil, t)
+	return eliminateFrozen(ctx, fg, terminals, nil, true, t)
 }
 
 // Algorithm1Frozen is Algorithm1 on a frozen bipartite graph (Theorem 3):
@@ -333,18 +311,12 @@ func Algorithm2FrozenInto(ctx context.Context, fg *graph.Frozen, terminals []int
 // component is not α-acyclic. The context is checked every cancelStride
 // elimination steps.
 func Algorithm1Frozen(ctx context.Context, fb *bipartite.Frozen, terminals []int) (Tree, error) {
-	return Algorithm1FrozenShared(ctx, fb, terminals, nil)
-}
-
-// Algorithm1FrozenShared is Algorithm1Frozen drawing component masks from a
-// batch-planner Shared (nil behaves like Algorithm1Frozen).
-func Algorithm1FrozenShared(ctx context.Context, fb *bipartite.Frozen, terminals []int, sh *Shared) (Tree, error) {
 	tr := trace.FromContext(ctx)
 	fg := fb.G()
 	sc := getScratch(fg.N())
 	defer sc.release()
 	psp := tr.StartSpan("solve.probe")
-	alive, err := componentAliveBits(fg, terminals, sh, sc, sc.alive)
+	alive, err := componentAliveBits(fg, terminals, sc, sc.alive)
 	psp.End()
 	if err != nil {
 		return Tree{}, err
@@ -459,20 +431,14 @@ func lemma1OrderingAlive(fb *bipartite.Frozen, alive graph.Bits) ([]int, error) 
 // subset of the DP (each subset costs O(|C|²) work, so a deadline is
 // honored well before the exponential loop completes).
 func ExactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int) (Tree, error) {
-	return ExactFrozenShared(ctx, fg, terminals, nil)
-}
-
-// ExactFrozenShared is ExactFrozen drawing component masks from a
-// batch-planner Shared (nil behaves like ExactFrozen).
-func ExactFrozenShared(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared) (Tree, error) {
 	var t Tree
-	if err := exactFrozen(ctx, fg, terminals, sh, &t); err != nil {
+	if err := exactFrozen(ctx, fg, terminals, &t); err != nil {
 		return Tree{}, err
 	}
 	return t, nil
 }
 
-func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared, t *Tree) error {
+func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, t *Tree) error {
 	ts := intset.FromSlice(terminals)
 	if ts.Len() == 0 {
 		return ErrEmptyTerminals
@@ -493,7 +459,7 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Sha
 	sc := getScratch(n)
 	defer sc.release()
 	psp := tr.StartSpan("solve.probe")
-	comp, err := componentAliveBits(fg, terminals, sh, sc, sc.comp)
+	comp, err := componentAliveBits(fg, terminals, sc, sc.comp)
 	psp.End()
 	if err != nil {
 		return err
@@ -652,28 +618,21 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Sha
 // pruning pass running the word-parallel cover probe. The context is
 // checked per terminal BFS row and every cancelStride pruning probes.
 func ApproximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int) (Tree, error) {
-	return ApproximateFrozenShared(ctx, fg, terminals, nil)
-}
-
-// ApproximateFrozenShared is ApproximateFrozen drawing component masks and
-// terminal distance rows from a batch-planner Shared (nil behaves like
-// ApproximateFrozen).
-func ApproximateFrozenShared(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared) (Tree, error) {
 	var t Tree
-	if err := approximateFrozen(ctx, fg, terminals, sh, &t); err != nil {
+	if err := approximateFrozen(ctx, fg, terminals, &t); err != nil {
 		return Tree{}, err
 	}
 	return t, nil
 }
 
-func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, sh *Shared, t *Tree) error {
+func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, t *Tree) error {
 	tr := trace.FromContext(ctx)
 	ts := intset.FromSlice(terminals)
 	n := fg.N()
 	sc := getScratch(n)
 	defer sc.release()
 	psp := tr.StartSpan("solve.probe")
-	_, err := componentAliveBits(fg, terminals, sh, sc, sc.comp)
+	_, err := componentAliveBits(fg, terminals, sc, sc.comp)
 	psp.End()
 	if err != nil {
 		return err
@@ -693,11 +652,7 @@ func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, s
 			rowsp.End()
 			return err
 		}
-		if row := sh.row(p); row != nil {
-			copy(dist[i*n:(i+1)*n], row)
-		} else {
-			fg.BFSDistancesBits(p, nil, dist[i*n:(i+1)*n], sc.bit)
-		}
+		fg.BFSDistancesBits(p, nil, dist[i*n:(i+1)*n], sc.bit)
 	}
 	rowsp.End()
 	// Prim MST over the terminal metric closure; the in-tree set is a bit
