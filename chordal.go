@@ -119,6 +119,8 @@
 package chordal
 
 import (
+	"context"
+
 	"repro/internal/bipartite"
 	"repro/internal/chordality"
 	"repro/internal/core"
@@ -300,18 +302,20 @@ func ConnectorFromSnapshot(s *Snapshot, opts ...Option) *Connector {
 }
 
 // Algorithm1 solves pseudo-Steiner w.r.t. V2 on V1-chordal, V1-conformal
-// graphs (Theorem 3).
-func Algorithm1(b *Bipartite, terminals []int) (Tree, error) {
-	return steiner.Algorithm1(b, terminals)
+// graphs (Theorem 3). It freezes b per call; freeze once and call
+// steiner's Algorithm1Frozen to answer many queries.
+func Algorithm1(ctx context.Context, b *Bipartite, terminals []int) (Tree, error) {
+	return steiner.Algorithm1Frozen(ctx, b.Freeze(), terminals)
 }
 
 // Algorithm2 solves the Steiner problem on (6,2)-chordal graphs
-// (Theorem 5).
-func Algorithm2(g *Graph, terminals []int) (Tree, error) {
-	return steiner.Algorithm2(g, terminals)
+// (Theorem 5). It freezes g per call.
+func Algorithm2(ctx context.Context, g *Graph, terminals []int) (Tree, error) {
+	return steiner.Algorithm2Frozen(ctx, g.Freeze(), terminals)
 }
 
 // ExactSteiner is the Dreyfus–Wagner baseline (exponential in terminals).
-func ExactSteiner(g *Graph, terminals []int) (Tree, error) {
-	return steiner.Exact(g, terminals)
+// It freezes g per call.
+func ExactSteiner(ctx context.Context, g *Graph, terminals []int) (Tree, error) {
+	return steiner.ExactFrozen(ctx, g.Freeze(), terminals)
 }

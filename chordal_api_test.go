@@ -40,15 +40,15 @@ func TestFacadeAlgorithms(t *testing.T) {
 	g := b.G()
 	terms := []int{g.MustID("a"), g.MustID("c")}
 
-	t1, err := chordal.Algorithm1(b, terms)
+	t1, err := chordal.Algorithm1(context.Background(), b, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := chordal.Algorithm2(g, terms)
+	t2, err := chordal.Algorithm2(context.Background(), g, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := chordal.ExactSteiner(g, terms)
+	ex, err := chordal.ExactSteiner(context.Background(), g, terms)
 	if err != nil {
 		t.Fatal(err)
 	}

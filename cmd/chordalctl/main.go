@@ -643,7 +643,7 @@ func readScheme(in io.Reader, hyper bool) (*bipartite.Graph, error) {
 // describeScheme prints the classification report for one compiled scheme
 // (taking the Connector avoids recompiling what the caller already has).
 func describeScheme(stdout io.Writer, conn *core.Connector) {
-	b := conn.Graph()
+	b := conn.Frozen()
 	fmt.Fprintf(stdout, "graph: %d nodes (%d in V1, %d in V2), %d arcs\n",
 		b.N(), len(b.V1()), len(b.V2()), b.M())
 	fmt.Fprint(stdout, conn.Describe())

@@ -76,7 +76,7 @@ func ExampleAlgorithm1() {
 	b := chordal.FromHypergraph(h)
 	g := b.G()
 
-	tree, err := chordal.Algorithm1(b, g.IDs("a", "d"))
+	tree, err := chordal.Algorithm1(context.Background(), b, g.IDs("a", "d"))
 	if err != nil {
 		fmt.Println("error:", err)
 		return

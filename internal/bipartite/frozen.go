@@ -89,11 +89,6 @@ func (f *Frozen) V1() []int { return f.v1 }
 // shared and must not be modified.
 func (f *Frozen) V2() []int { return f.v2 }
 
-// Thaw reconstructs a mutable bipartite Graph equal to the snapshot.
-func (f *Frozen) Thaw() *Graph {
-	return &Graph{g: f.g.Thaw(), side: append([]graph.Side(nil), f.side...)}
-}
-
 // HypergraphV1 builds H¹G (Definition 2) straight off the CSR arrays:
 // nodes correspond to V1, and every V2 node with at least one neighbour
 // contributes an edge holding its V1-neighbourhood. Matches

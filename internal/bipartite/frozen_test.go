@@ -36,9 +36,8 @@ func TestFrozenMirrorsBipartite(t *testing.T) {
 				t.Fatalf("V2[%d] mismatch", i)
 			}
 		}
-		th := f.Thaw()
-		if th.N() != b.N() || th.M() != b.M() {
-			t.Fatalf("Thaw size mismatch")
+		if f.N() != b.N() || f.M() != b.M() {
+			t.Fatalf("size mismatch")
 		}
 	}
 }

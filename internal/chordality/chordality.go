@@ -24,79 +24,10 @@ import (
 )
 
 // IsChordal reports whether g is chordal ((4,1)-chordal in Definition 4's
-// terms: every cycle of length ≥ 4 has a chord). The test runs maximum
-// cardinality search and verifies that the reverse visit order is a
-// perfect elimination ordering — it is iff g is chordal (Tarjan &
-// Yannakakis [12]).
+// terms: every cycle of length ≥ 4 has a chord). It freezes g and runs
+// IsChordalFrozen.
 func IsChordal(g *graph.Graph) bool {
-	_, ok := PerfectEliminationOrder(g)
-	return ok
-}
-
-// MCSOrder returns a maximum cardinality search visit order: each step
-// visits an unvisited node with the maximum number of visited neighbours
-// (ties broken by lowest id, so the order is deterministic).
-func MCSOrder(g *graph.Graph) []int {
-	n := g.N()
-	weight := make([]int, n)
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		best := -1
-		for v := 0; v < n; v++ {
-			if visited[v] {
-				continue
-			}
-			if best == -1 || weight[v] > weight[best] {
-				best = v
-			}
-		}
-		visited[best] = true
-		order = append(order, best)
-		for _, w := range g.Neighbors(best) {
-			if !visited[w] {
-				weight[w]++
-			}
-		}
-	}
-	return order
-}
-
-// PerfectEliminationOrder returns a perfect elimination ordering of g and
-// true if g is chordal, or nil and false otherwise. The ordering lists
-// nodes so that each node's later neighbours form a clique.
-func PerfectEliminationOrder(g *graph.Graph) ([]int, bool) {
-	mcs := MCSOrder(g)
-	// Elimination order = reverse MCS visit order.
-	n := g.N()
-	peo := make([]int, n)
-	for i, v := range mcs {
-		peo[n-1-i] = v
-	}
-	pos := make([]int, n)
-	for i, v := range peo {
-		pos[v] = i
-	}
-	// Verify: for each v, let w be its earliest later neighbour; all other
-	// later neighbours of v must be adjacent to w (Golumbic's linear
-	// verification, written quadratically for clarity).
-	for _, v := range peo {
-		w := -1
-		for _, u := range g.Neighbors(v) {
-			if pos[u] > pos[v] && (w == -1 || pos[u] < pos[w]) {
-				w = u
-			}
-		}
-		if w == -1 {
-			continue
-		}
-		for _, u := range g.Neighbors(v) {
-			if pos[u] > pos[v] && u != w && !g.HasEdge(w, u) {
-				return nil, false
-			}
-		}
-	}
-	return peo, true
+	return IsChordalFrozen(g.Freeze())
 }
 
 // Is41Chordal reports whether the bipartite graph is (4,1)-chordal: every
@@ -167,17 +98,8 @@ func (c Class) AlphaV1() bool { return c.V1Chordal && c.V1Conformal }
 // AlphaV2 reports whether H²G is α-acyclic (Theorem 1(vi)).
 func (c Class) AlphaV2() bool { return c.V2Chordal && c.V2Conformal }
 
-// Classify runs every recognizer on b.
+// Classify runs every recognizer on b. It freezes b and runs
+// ClassifyFrozen.
 func Classify(b *bipartite.Graph) Class {
-	h1 := b.HypergraphV1().H
-	h2 := b.HypergraphV2().H
-	return Class{
-		Chordal41:   b.G().IsForest(),
-		Chordal62:   h1.GammaAcyclic(),
-		Chordal61:   h1.BetaAcyclic(),
-		V1Chordal:   IsChordal(h1.PrimalGraph()),
-		V1Conformal: h1.Conformal(),
-		V2Chordal:   IsChordal(h2.PrimalGraph()),
-		V2Conformal: h2.Conformal(),
-	}
+	return ClassifyFrozen(b.Freeze())
 }

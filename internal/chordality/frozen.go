@@ -5,21 +5,26 @@ import (
 	"repro/internal/graph"
 )
 
-// Frozen-path recognizers: the same taxonomy as chordality.go computed off
-// compiled CSR views. MCS and the perfect-elimination verification iterate
-// flat adjacency slices and use the frozen bitset matrix for the O(1)
-// HasEdge probes that dominate the verification; ClassifyFrozen builds both
-// Definition 2 hypergraphs straight from the CSR arrays. The verdicts are
-// identical to the mutable path (asserted by frozen_test.go).
+// The recognizers computed off compiled CSR views. MCS and the
+// perfect-elimination verification iterate flat adjacency slices and use
+// the frozen bitset matrix for the O(1) HasEdge probes that dominate the
+// verification; ClassifyFrozen builds both Definition 2 hypergraphs
+// straight from the CSR arrays. frozen_test.go holds the verdicts to the
+// per-property recognizers of chordality.go and to the brute-force
+// definitions of internal/reference.
 
-// IsChordalFrozen is IsChordal on a frozen graph.
+// IsChordalFrozen reports whether f is chordal: it runs maximum
+// cardinality search and verifies that the reverse visit order is a
+// perfect elimination ordering — it is iff f is chordal (Tarjan &
+// Yannakakis [12]).
 func IsChordalFrozen(f *graph.Frozen) bool {
 	_, ok := PerfectEliminationOrderFrozen(f)
 	return ok
 }
 
-// MCSOrderFrozen is MCSOrder on a frozen graph: same visit order (maximum
-// visited-neighbour count, ties to the lowest id).
+// MCSOrderFrozen returns a maximum cardinality search visit order: each
+// step visits an unvisited node with the maximum number of visited
+// neighbours (ties broken by lowest id, so the order is deterministic).
 func MCSOrderFrozen(f *graph.Frozen) []int {
 	n := f.N()
 	weight := make([]int32, n)
@@ -46,9 +51,10 @@ func MCSOrderFrozen(f *graph.Frozen) []int {
 	return order
 }
 
-// PerfectEliminationOrderFrozen is PerfectEliminationOrder on a frozen
-// graph: it returns the reverse MCS order and whether it is a perfect
-// elimination ordering (iff the graph is chordal).
+// PerfectEliminationOrderFrozen returns a perfect elimination ordering of
+// f and true if f is chordal, or nil and false otherwise. The ordering is
+// the reverse MCS order; it lists nodes so that each node's later
+// neighbours form a clique.
 func PerfectEliminationOrderFrozen(f *graph.Frozen) ([]int, bool) {
 	mcs := MCSOrderFrozen(f)
 	n := f.N()
@@ -60,6 +66,9 @@ func PerfectEliminationOrderFrozen(f *graph.Frozen) ([]int, bool) {
 	for i, v := range peo {
 		pos[v] = int32(i)
 	}
+	// Verify: for each v, let w be its earliest later neighbour; all other
+	// later neighbours of v must be adjacent to w (Golumbic's linear
+	// verification, written quadratically for clarity).
 	for _, v := range peo {
 		w := -1
 		for _, u := range f.Neighbors(v) {
@@ -79,8 +88,7 @@ func PerfectEliminationOrderFrozen(f *graph.Frozen) ([]int, bool) {
 	return peo, true
 }
 
-// ClassifyFrozen runs every recognizer on the frozen scheme. Verdicts are
-// identical to Classify on the graph the view was frozen from.
+// ClassifyFrozen runs every recognizer on the frozen scheme.
 func ClassifyFrozen(fb *bipartite.Frozen) Class {
 	h1 := fb.HypergraphV1().H
 	h2 := fb.HypergraphV2().H

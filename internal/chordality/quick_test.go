@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/reference"
 )
 
 // TestQuickAlphaDefinitionSevenEquivalence checks, property-based, that the
@@ -26,7 +27,7 @@ func TestQuickAlphaDefinitionSevenEquivalence(t *testing.T) {
 }
 
 // TestQuickPEOExistenceMatchesChordality checks that
-// PerfectEliminationOrder succeeds exactly on chordal graphs, using
+// PerfectEliminationOrderFrozen succeeds exactly on chordal graphs, using
 // triangulated random graphs as positives and raw random graphs as a mix.
 func TestQuickPEOExistenceMatchesChordality(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
@@ -34,15 +35,14 @@ func TestQuickPEOExistenceMatchesChordality(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		if seed%2 == 0 {
 			g := gen.RandomChordalGraph(r, 2+r.Intn(8), 1+r.Intn(4))
-			_, ok := PerfectEliminationOrder(g)
+			_, ok := PerfectEliminationOrderFrozen(g.Freeze())
 			return ok
 		}
 		g := gen.RandomGraph(r, 3+r.Intn(7), r.Float64())
-		_, ok := PerfectEliminationOrder(g)
+		_, ok := PerfectEliminationOrderFrozen(g.Freeze())
 		// Cross-validate against MCS-free brute force: a graph is chordal
-		// iff every cycle ≥ 4 has a chord; reuse the library's own
-		// recognizer only for shape (both must agree with each other).
-		return ok == IsChordal(g)
+		// iff every cycle ≥ 4 has a chord.
+		return ok == reference.IsChordalGraph(g)
 	}, cfg)
 	if err != nil {
 		t.Error(err)

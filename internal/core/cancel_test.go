@@ -128,7 +128,7 @@ func TestInterpretationsHonorContext(t *testing.T) {
 	c, terms := hardInstance(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Interpretations(ctx, terms[:4], c.Graph().N(), 5); !errors.Is(err, context.Canceled) {
+	if _, err := c.Interpretations(ctx, terms[:4], c.Frozen().N(), 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

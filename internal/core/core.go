@@ -61,9 +61,10 @@ type Connection struct {
 // per query with WithQueryExactLimit.
 const DefaultExactLimit = 12
 
-// Connector answers minimal-connection queries over a fixed scheme. It is
-// built on the frozen CSR view, so concurrent Connect calls need no
-// synchronization; the scheme must not be mutated after New.
+// Connector answers minimal-connection queries over a fixed scheme. It
+// holds only the frozen CSR view, a deep snapshot taken by New, so
+// concurrent Connect calls need no synchronization and later changes to the
+// caller's graph do not reach it.
 type Connector struct {
 	fb    *bipartite.Frozen
 	class chordality.Class
@@ -71,14 +72,6 @@ type Connector struct {
 	// snapVersion stamps a connector revived from a persisted epoch with
 	// the snapshot's format version; 0 means compiled live.
 	snapVersion uint16
-
-	// b is the mutable scheme view. New sets it eagerly (the caller's
-	// graph); NewFromSnapshot leaves it nil and thaws it from the frozen
-	// view on first use, so booting from a snapshot does no graph rebuild
-	// unless a code path actually needs the mutable form (ranked-cover
-	// enumeration, label resolution at the HTTP boundary).
-	thawOnce sync.Once
-	b        *bipartite.Graph
 
 	// fp is the lazily computed scheme fingerprint (SchemeFingerprint):
 	// an O(scheme) encode+hash paid at most once per connector, and only
@@ -104,7 +97,7 @@ func newConfig(opts []Option) config {
 // options: WithExactLimit, WithMaxTerminals, WithV1TerminalsOnly.
 func New(b *bipartite.Graph, opts ...Option) *Connector {
 	fb := b.Freeze()
-	return &Connector{b: b, fb: fb, class: chordality.ClassifyFrozen(fb), cfg: newConfig(opts)}
+	return &Connector{fb: fb, class: chordality.ClassifyFrozen(fb), cfg: newConfig(opts)}
 }
 
 // NewFromSnapshot revives a Connector from a decoded snapshot without any
@@ -160,19 +153,6 @@ func (c *Connector) WriteSnapshot(w io.Writer) error {
 func (c *Connector) SchemeFingerprint() []byte {
 	c.fpOnce.Do(func() { c.fp = snapshot.EpochFingerprint(c.fb, c.class) })
 	return c.fp
-}
-
-// Graph returns the mutable bipartite scheme view. For a live-compiled
-// connector this is the graph passed to New; for a snapshot-loaded one it
-// is thawed from the frozen view on first call (ids, labels and adjacency
-// identical to the originally compiled scheme).
-func (c *Connector) Graph() *bipartite.Graph {
-	c.thawOnce.Do(func() {
-		if c.b == nil {
-			c.b = c.fb.Thaw()
-		}
-	})
-	return c.b
 }
 
 // Frozen returns the compiled scheme view queries are answered on.
@@ -355,7 +335,7 @@ func (c *Connector) Interpretations(ctx context.Context, terminals []int, maxAux
 
 func (c *Connector) interpretations(ctx context.Context, terminals []int, maxAux, limit int) ([]Interpretation, error) {
 	p := intset.FromSlice(terminals)
-	covers, err := steiner.RankedCovers(ctx, c.Graph().G(), terminals, maxAux, limit)
+	covers, err := steiner.RankedCovers(ctx, c.fb.G(), terminals, maxAux, limit)
 	if err != nil {
 		return nil, err
 	}

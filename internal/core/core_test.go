@@ -198,8 +198,8 @@ func TestMethodString(t *testing.T) {
 func TestGraphAccessorAndMethodNames(t *testing.T) {
 	b := fixtures.Fig2()
 	c := core.New(b)
-	if c.Graph() != b {
-		t.Error("Graph() should return the classified scheme")
+	if fb := c.Frozen(); fb.N() != b.N() || fb.M() != b.M() {
+		t.Error("Frozen() should return the classified scheme")
 	}
 	for m, want := range map[core.Method]string{
 		core.MethodAlgorithm2: "algorithm-2",

@@ -187,7 +187,7 @@ type Interpretation struct {
 // of alternatives returned, ctx the enumeration itself (it is exponential
 // in the auxiliary budget).
 func (s *Scheme) Interpretations(ctx context.Context, query []string, limit int) ([]Interpretation, error) {
-	g := s.Graph()
+	g := s.Graph().Freeze()
 	terminals := make([]int, len(query))
 	for i, name := range query {
 		id, ok := g.ID(name)

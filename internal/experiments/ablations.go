@@ -36,10 +36,11 @@ func EAblationOrdering(ctx context.Context) Table {
 		total++
 		terms := r.Perm(g.N())[:2+r.Intn(2)]
 		want := reference.MinimumV2Count(b, terms)
-		if tree, err := steiner.Algorithm1(b, terms); err == nil && steiner.V2Count(b, tree) == want {
+		fb := b.Freeze()
+		if tree, err := steiner.Algorithm1Frozen(ctx, fb, terms); err == nil && steiner.V2Count(b, tree) == want {
 			lemmaOK++
 		}
-		if tree, err := steiner.Algorithm1WithOrder(b, terms, r.Perm(g.N())); err == nil && steiner.V2Count(b, tree) == want {
+		if tree, err := steiner.Algorithm1WithOrder(ctx, fb, terms, r.Perm(g.N())); err == nil && steiner.V2Count(b, tree) == want {
 			randomOK++
 		}
 	}
@@ -76,10 +77,11 @@ func EAblationCoverSemantics(ctx context.Context) Table {
 		terms := r.Perm(g.N())[:2]
 		want := reference.SteinerMinimumNodes(g, terms)
 		order := r.Perm(g.N())
-		if tree, err := steiner.EliminateOrdered(g, terms, order); err == nil && tree.Nodes.Len() == want {
+		fg := g.Freeze()
+		if tree, err := steiner.EliminateOrderedFrozen(ctx, fg, terms, order); err == nil && tree.Nodes.Len() == want {
 			relaxedOK++
 		}
-		if tree, err := steiner.EliminateOrderedStrict(g, terms, order); err == nil && tree.Nodes.Len() == want {
+		if tree, err := steiner.EliminateOrderedStrict(ctx, fg, terms, order); err == nil && tree.Nodes.Len() == want {
 			strictOK++
 		}
 	}
@@ -120,14 +122,15 @@ func EOpenProblem(ctx context.Context) Table {
 		total++
 		terms := r.Perm(g.N())[:2+r.Intn(2)]
 		want := reference.SteinerMinimumNodes(g, terms)
-		if tree, err := steiner.EliminateOrdered(g, terms, r.Perm(g.N())); err == nil {
+		fg := g.Freeze()
+		if tree, err := steiner.EliminateOrderedFrozen(ctx, fg, terms, r.Perm(g.N())); err == nil {
 			if tree.Nodes.Len() == want {
 				elimOK++
 			} else if d := tree.Nodes.Len() - want; d > elimWorst {
 				elimWorst = d
 			}
 		}
-		if tree, err := steiner.Approximate(g, terms); err == nil {
+		if tree, err := steiner.ApproximateFrozen(ctx, fg, terms); err == nil {
 			if tree.Nodes.Len() == want {
 				apxOK++
 			} else if d := tree.Nodes.Len() - want; d > apxWorst {

@@ -231,6 +231,7 @@ func EFig10(ctx context.Context) Table {
 func EFig11(ctx context.Context) Table {
 	b := fixtures.Fig11()
 	g := b.G()
+	fg := g.Freeze()
 	t := Table{
 		ID:     "E-FIG11",
 		Title:  "Fig 11 / Theorem 6: every ordering case fails on its witness set",
@@ -256,7 +257,7 @@ func EFig11(ctx context.Context) Table {
 					order = append(order, v)
 				}
 			}
-			tree, err := steiner.EliminateOrdered(g, terms, order)
+			tree, err := steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
 			if err != nil {
 				allMiss = false
 				break

@@ -182,18 +182,6 @@ func RestoreFrozen(labels []string, offsets, neighbors []int32, matrix []uint64,
 	}, nil
 }
 
-// Thaw reconstructs a mutable Graph equal to the frozen snapshot.
-func (f *Frozen) Thaw() *Graph {
-	g := New()
-	for _, l := range f.labels {
-		g.AddNode(l)
-	}
-	for _, e := range f.Edges() {
-		g.AddEdge(e.U, e.V)
-	}
-	return g
-}
-
 func (f *Frozen) check(v int) {
 	if v < 0 || v >= len(f.labels) {
 		panic(fmt.Sprintf("graph: node id %d out of range [0, %d)", v, len(f.labels)))

@@ -237,7 +237,7 @@ func TestUploadTextScheme(t *testing.T) {
 		t.Fatalf("upload response %+v", up)
 	}
 	svc, ok := reg.Get("tiny")
-	if !ok || svc.Connector().Graph().N() != 3 {
+	if !ok || svc.Connector().Frozen().N() != 3 {
 		t.Fatalf("uploaded scheme not installed correctly")
 	}
 

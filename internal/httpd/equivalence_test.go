@@ -23,7 +23,7 @@ import (
 //
 //	(1) the cached frozen Service the handler actually calls,
 //	(2) an independent uncached frozen Connector, and
-//	(3) the mutable v1 solver the dispatched method names,
+//	(3) the frozen solver the dispatched method names, called directly,
 //
 // and every wire failure must carry exactly the status/code the in-process
 // typed error maps to. Any divergence is a silent-corruption bug at the
@@ -118,18 +118,19 @@ func queryOpts(req ConnectRequest) []core.QueryOption {
 	return opts
 }
 
-// mutableAnswer reruns the query on the v1 mutable solver that the
-// dispatched method names.
-func mutableAnswer(b *bipartite.Graph, method string, terms []int) (steiner.Tree, error) {
+// solverAnswer reruns the query on the frozen solver that the dispatched
+// method names, bypassing the Connector's dispatch.
+func solverAnswer(fb *bipartite.Frozen, method string, terms []int) (steiner.Tree, error) {
+	ctx := context.Background()
 	switch method {
 	case "algorithm-2":
-		return steiner.Algorithm2(b.G(), terms)
+		return steiner.Algorithm2Frozen(ctx, fb.G(), terms)
 	case "algorithm-1":
-		return steiner.Algorithm1(b, terms)
+		return steiner.Algorithm1Frozen(ctx, fb, terms)
 	case "exact":
-		return steiner.Exact(b.G(), terms)
+		return steiner.ExactFrozen(ctx, fb.G(), terms)
 	case "heuristic":
-		return steiner.Approximate(b.G(), terms)
+		return steiner.ApproximateFrozen(ctx, fb.G(), terms)
 	}
 	return steiner.Tree{}, fmt.Errorf("unknown method %q", method)
 }
@@ -190,13 +191,13 @@ func assertEquivalent(t *testing.T, ts *httptest.Server, b *bipartite.Graph, svc
 			req.Scheme, req.Terminals, wire.Nodes, wire.Edges, wantConn.Tree)
 	}
 
-	// The mutable v1 solver must produce the identical tree.
-	mt, merr := mutableAnswer(b, wire.Method, req.Terminals)
-	if merr != nil {
-		t.Fatalf("%s %v: mutable %s failed (%v) where frozen answered", req.Scheme, req.Terminals, wire.Method, merr)
+	// The named solver, called directly, must produce the identical tree.
+	st, serr := solverAnswer(fresh.Frozen(), wire.Method, req.Terminals)
+	if serr != nil {
+		t.Fatalf("%s %v: %s failed (%v) where the connector answered", req.Scheme, req.Terminals, wire.Method, serr)
 	}
-	if !sameTreeWire(wire.Answer, mt) {
-		t.Fatalf("%s %v: wire tree %v/%v != mutable %v", req.Scheme, req.Terminals, wire.Nodes, wire.Edges, mt)
+	if !sameTreeWire(wire.Answer, st) {
+		t.Fatalf("%s %v: wire tree %v/%v != solver %v", req.Scheme, req.Terminals, wire.Nodes, wire.Edges, st)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestConnectByLabels(t *testing.T) {
 	}
 	// The wire answer must be the in-process answer, bit for bit.
 	svc, _ := reg.Get("lib")
-	g := svc.Connector().Graph().G()
+	g := svc.Connector().Frozen().G()
 	a, _ := g.ID("A")
 	c, _ := g.ID("C")
 	conn, err := svc.Connect(context.Background(), []int{a, c})
@@ -290,7 +290,7 @@ func TestInterpretationsEndpoint(t *testing.T) {
 	}
 	// Parity with the in-process enumeration, including the ranking.
 	svc, _ := reg.Get("lib")
-	g := svc.Connector().Graph().G()
+	g := svc.Connector().Frozen().G()
 	a, _ := g.ID("A")
 	c, _ := g.ID("C")
 	want, err := svc.Connector().Interpretations(context.Background(), []int{a, c}, 2, 4)

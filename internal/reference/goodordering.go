@@ -41,9 +41,9 @@ func FindGoodOrderingViolation(g *graph.Graph, order []int) (intset.Set, bool) {
 	return nil, false
 }
 
-// eliminateOrdered mirrors steiner.EliminateOrdered (single pass, relaxed
-// cover test, restriction to the terminals' component) without importing
-// it — reference must not depend on the package it certifies.
+// eliminateOrdered mirrors steiner.EliminateOrderedFrozen (single pass,
+// relaxed cover test, restriction to the terminals' component) without
+// importing it — reference must not depend on the package it certifies.
 func eliminateOrdered(g *graph.Graph, terminals []int, order []int) intset.Set {
 	comp := g.ComponentContaining(terminals)
 	alive := make([]bool, g.N())

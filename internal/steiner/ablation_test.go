@@ -21,7 +21,7 @@ func TestAlgorithm1WithOrderProducesValidTrees(t *testing.T) {
 			continue
 		}
 		terms := r.Perm(g.N())[:2]
-		tree, err := steiner.Algorithm1WithOrder(b, terms, r.Perm(g.N()))
+		tree, err := steiner.Algorithm1WithOrder(ctx, b.Freeze(), terms, r.Perm(g.N()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestAlgorithm1WithBadOrderIsSuboptimal(t *testing.T) {
 	g := b.G()
 	// Removing W then w3 first forces the two-relation route.
 	bad := g.IDs("W", "w3", "w1", "w2")
-	tree, err := steiner.Algorithm1WithOrder(b, terms, bad)
+	tree, err := steiner.Algorithm1WithOrder(ctx, b.Freeze(), terms, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAlgorithm1WithBadOrderIsSuboptimal(t *testing.T) {
 		t.Fatalf("bad order gave %d V2 nodes, expected the suboptimal 2", got)
 	}
 	// The proper Algorithm 1 must return the optimum 1.
-	tree, err = steiner.Algorithm1(b, terms)
+	tree, err = steiner.Algorithm1Frozen(ctx, b.Freeze(), terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestEliminateOrderedStrictGetsStuck(t *testing.T) {
 	// Order: e1 before e0 — strict cannot remove e1 while e0's branch
 	// dangles.
 	order := g.IDs("n0", "n1", "e1", "e0", "e2")
-	strict, err := steiner.EliminateOrderedStrict(g, terms, order)
+	strict, err := steiner.EliminateOrderedStrict(ctx, g.Freeze(), terms, order)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxed, err := steiner.EliminateOrdered(g, terms, order)
+	relaxed, err := steiner.EliminateOrderedFrozen(ctx, g.Freeze(), terms, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestStrictStillValidCover(t *testing.T) {
 			continue
 		}
 		terms := r.Perm(g.N())[:2]
-		tree, err := steiner.EliminateOrderedStrict(g, terms, r.Perm(g.N()))
+		tree, err := steiner.EliminateOrderedStrict(ctx, g.Freeze(), terms, r.Perm(g.N()))
 		if err != nil {
 			t.Fatal(err)
 		}

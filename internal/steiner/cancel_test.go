@@ -33,7 +33,7 @@ func TestFrozenSolversCancelled(t *testing.T) {
 	if _, err := steiner.ApproximateFrozen(cancelled, fg, terms); !errors.Is(err, context.Canceled) {
 		t.Errorf("ApproximateFrozen: %v", err)
 	}
-	if _, err := steiner.RankedCovers(cancelled, b.G(), terms, b.N(), 5); !errors.Is(err, context.Canceled) {
+	if _, err := steiner.RankedCovers(cancelled, fg, terms, b.N(), 5); !errors.Is(err, context.Canceled) {
 		t.Errorf("RankedCovers: %v", err)
 	}
 	// Algorithm1Frozen rejects the grid before its elimination loop (not

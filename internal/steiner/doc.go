@@ -16,13 +16,14 @@
 //   - The paper's two NP-hardness reductions (Theorem 2's X3C gadget, Fig 6,
 //     and the CSPC gadget of the remarks after Corollary 4, Fig 9).
 //
-// Each solver has a frozen port (Algorithm2Frozen, ExactFrozen, ...) that
-// runs on the immutable graph.Frozen view: connectivity probes and BFS go
+// Every solver runs on the immutable graph.Frozen view (Algorithm2Frozen,
+// Algorithm1Frozen, ExactFrozen, ...): connectivity probes and BFS go
 // through the bit-parallel wave kernels when the view carries a compiled
 // adjacency matrix (falling back to CSR walks otherwise), and all
 // per-query scratch — alive/terminal masks, distance rows, the flat
 // Dreyfus–Wagner tables — is drawn from a sync.Pool. Algorithm2FrozenInto
 // additionally reuses the caller's Tree capacity, making steady-state
-// queries allocation-free. Frozen answers
-// are bit-for-bit identical to the mutable path, errors included.
+// queries allocation-free. Callers holding a mutable graph freeze it once
+// and query the frozen view. The golden files under testdata/ pin every
+// solver's answers, errors included, on matrix-backed and CSR views.
 package steiner

@@ -2,11 +2,8 @@
 
 package steiner
 
-// Frozen-path solvers: the Section 3 algorithms compiled against the
-// immutable CSR views of internal/graph and internal/bipartite. The
-// algorithms are the same as the mutable path (steiner.go, algorithm1.go,
-// exact.go, heuristic.go) and return identical answers (asserted by
-// frozen_test.go), but the hot loops differ:
+// The Section 3 solvers, compiled against the immutable CSR views of
+// internal/graph and internal/bipartite. Their hot loops:
 //
 //   - alive masks, terminal sets and visited sets are packed graph.Bits, so
 //     the connectivity probes of the elimination passes run the word-parallel
@@ -26,7 +23,8 @@ package steiner
 //
 // Every function here only reads the frozen views, so one frozen scheme can
 // serve any number of concurrent queries (see core.Service); the pooled
-// scratch is owned by exactly one query between get and release.
+// scratch is owned by exactly one query between get and release. The
+// answers, errors included, are pinned by the golden files under testdata/.
 //
 // Each frozen solver takes a context.Context and checks it periodically —
 // at iteration granularity in the polynomial elimination passes, per
@@ -152,9 +150,8 @@ func coversBits(fg *graph.Frozen, alive, term graph.Bits, terminals []int, bsc *
 // reusing t's slice capacity when it suffices (a recycled Tree allocates
 // nothing) and otherwise allocating each slice at exactly the result's
 // size, since a cached answer keeps its slices for as long as it stays
-// resident. The walk replays Frozen.SpanningTreeAlive verbatim — FIFO
-// BFS from the smallest alive node, neighbors in CSR order — so the edge
-// list is bit-for-bit the one the mutable path produces.
+// resident. The walk is a FIFO BFS from the smallest alive node with
+// neighbors in CSR order, the same tree Frozen.SpanningTreeAlive builds.
 func spanningTreeBits(fg *graph.Frozen, alive graph.Bits, sc *frozenScratch, t *Tree) error {
 	nodes := []int(t.Nodes)[:0]
 	if n := alive.Count(); cap(nodes) < n {
@@ -210,9 +207,9 @@ func terminalsConnectedBits(fg *graph.Frozen, alive, term graph.Bits, terminals 
 	return fg.ReachesAll(terminals[0], alive, term, bsc)
 }
 
-// eliminateFrozen is the Definition 11 single-pass redundant-node
-// elimination over a packed alive mask, shared by EliminateOrderedFrozen
-// and Algorithm2Frozen. identity selects the id-order fast path: the pass
+// eliminateFrozen is the single-pass redundant-node elimination of
+// EliminateOrderedFrozen over a packed alive mask, shared with
+// Algorithm2Frozen. identity selects the id-order fast path: the pass
 // iterates 0..n-1 directly and never materializes a per-query order slice.
 func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []int, identity bool, t *Tree) error {
 	// Phase spans no-op on a traceless ctx (nil *Trace, zero SpanRef), so
@@ -272,10 +269,25 @@ func eliminateFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []i
 	return err
 }
 
-// EliminateOrderedFrozen is EliminateOrdered on a frozen graph: the
-// Definition 11 single-pass redundant-node elimination, with each removal
-// probe running the early-exit word-parallel connectivity search. The
-// context is checked every cancelStride removals.
+// EliminateOrderedFrozen runs the redundant-node elimination of
+// Definition 11 in one pass: nodes are visited in the given order and
+// removed whenever the terminals remain connected among themselves
+// afterwards. Removing a node may strand a pendant fragment; stranded nodes
+// are themselves removable and disappear when the pass reaches them, so the
+// surviving subgraph is exactly the terminals' component — a *nonredundant*
+// cover (Theorem 5's Step 1). One pass suffices: a kept node is a cut node
+// separating the terminals, and deleting further nodes never creates new
+// paths, so it stays one (this is also what keeps the algorithm at the
+// O(|V|·|A|) of Theorem 5). The ordering determines WHICH nonredundant
+// cover is reached — the substance of Definition 11 and Theorem 6.
+//
+// On a (6,2)-chordal bipartite graph every nonredundant cover is minimum
+// (Lemma 5), so every ordering yields a minimum cover (Corollary 5); this
+// is Algorithm 2 when the order is arbitrary. On general graphs the result
+// is only guaranteed nonredundant.
+//
+// Each removal probe runs the early-exit word-parallel connectivity
+// search, and the context is checked every cancelStride removals.
 func EliminateOrderedFrozen(ctx context.Context, fg *graph.Frozen, terminals, order []int) (Tree, error) {
 	var t Tree
 	if err := eliminateFrozen(ctx, fg, terminals, order, false, &t); err != nil {
@@ -284,9 +296,13 @@ func EliminateOrderedFrozen(ctx context.Context, fg *graph.Frozen, terminals, or
 	return t, nil
 }
 
-// Algorithm2Frozen is Algorithm2 on a frozen graph (Theorem 5): redundant-
-// node elimination in id order, minimum on (6,2)-chordal bipartite graphs.
-// The id order is implicit — no per-query order slice is built.
+// Algorithm2Frozen solves the Steiner problem on a (6,2)-chordal bipartite
+// graph (Theorem 5): it eliminates redundant nodes in id order and returns
+// a spanning tree of the resulting cover, which Lemma 5 guarantees to be
+// minimum. The precondition ((6,2)-chordality) is the caller's
+// responsibility — use chordality.Is62Chordal or core.Connector; on other
+// graphs the result is a nonredundant, possibly non-minimum, cover. The id
+// order is implicit — no per-query order slice is built.
 func Algorithm2Frozen(ctx context.Context, fg *graph.Frozen, terminals []int) (Tree, error) {
 	var t Tree
 	if err := eliminateFrozen(ctx, fg, terminals, nil, true, &t); err != nil {
@@ -302,15 +318,38 @@ func Algorithm2FrozenInto(ctx context.Context, fg *graph.Frozen, terminals []int
 	return eliminateFrozen(ctx, fg, terminals, nil, true, t)
 }
 
-// Algorithm1Frozen is Algorithm1 on a frozen bipartite graph (Theorem 3):
-// the pseudo-Steiner tree with the minimum number of V2 nodes on a
-// V1-chordal, V1-conformal scheme. Instead of materializing the induced
-// subgraph of the terminals' component (as the mutable path does) it runs
-// the Lemma 1 ordering and the elimination pass under an alive bitmask over
-// the shared CSR arrays. It returns ErrNotAlphaAcyclic when H¹ of the
-// component is not α-acyclic. The context is checked every cancelStride
-// elimination steps.
+// Algorithm1Frozen solves the pseudo-Steiner problem with respect to V2
+// (Definition 9) on a V1-chordal, V1-conformal bipartite graph, per
+// Theorem 3:
+//
+//	Step 1: order the V2 nodes of the terminals' component as in Lemma 1 —
+//	        the reverse of a running-intersection ordering of the edges of
+//	        H¹G (obtained via the join tree, as Theorem 4 obtains it from
+//	        Tarjan–Yannakakis restricted maximum cardinality search);
+//	Step 2: scan that ordering once, removing v together with Adj*(v) (the
+//	        nodes currently adjacent only to v) whenever the remaining
+//	        subgraph still covers the terminals;
+//	Step 3: return a spanning tree of the surviving cover.
+//
+// The result is a tree over the terminals with the minimum possible number
+// of V2 nodes. Total node count is NOT minimized (that problem is
+// NP-complete on this class, Theorem 2); see Algorithm2Frozen and
+// ExactFrozen.
+//
+// The component is an alive bitmask over the shared CSR arrays, not an
+// induced subgraph copy. Algorithm1Frozen verifies its own precondition: if
+// H¹ of the component is not α-acyclic it returns ErrNotAlphaAcyclic. The
+// context is checked every cancelStride elimination steps.
 func Algorithm1Frozen(ctx context.Context, fb *bipartite.Frozen, terminals []int) (Tree, error) {
+	return eliminateV2Frozen(ctx, fb, terminals, func(alive graph.Bits) ([]int, error) {
+		return lemma1OrderingAlive(fb, alive)
+	})
+}
+
+// eliminateV2Frozen is Steps 2 and 3 of Algorithm 1 over the V2 ordering
+// that order returns for the terminals' component, shared by
+// Algorithm1Frozen and the Algorithm1WithOrder ablation.
+func eliminateV2Frozen(ctx context.Context, fb *bipartite.Frozen, terminals []int, order func(alive graph.Bits) ([]int, error)) (Tree, error) {
 	tr := trace.FromContext(ctx)
 	fg := fb.G()
 	sc := getScratch(fg.N())
@@ -322,7 +361,7 @@ func Algorithm1Frozen(ctx context.Context, fb *bipartite.Frozen, terminals []int
 		return Tree{}, err
 	}
 	osp := tr.StartSpan("solve.order")
-	w, err := lemma1OrderingAlive(fb, alive)
+	w, err := order(alive)
 	osp.End()
 	if err != nil {
 		return Tree{}, err
@@ -366,9 +405,12 @@ func Algorithm1Frozen(ctx context.Context, fb *bipartite.Frozen, terminals []int
 				break
 			}
 		}
-		// Same cover test as the mutable path: the terminals must stay
-		// mutually connected; stranded fragments are cleaned up when the
-		// ordering reaches their own V2 nodes.
+		// "Is a cover of P": the terminals must stay mutually connected.
+		// A removal may strand a fragment (e.g. the remnant of an edge of
+		// H¹ contained in the removed one); such fragments are cleaned up
+		// when the ordering reaches their own V2 nodes — demanding whole-
+		// graph connectivity here would instead block removals behind
+		// their subsumed edges and lose V2-minimality.
 		if ok && !terminalsConnectedBits(fg, alive, term, terminals, sc.bit) {
 			ok = false
 		}
@@ -395,8 +437,9 @@ func Algorithm1Frozen(ctx context.Context, fb *bipartite.Frozen, terminals []int
 // alive V2 nodes (original ids), building H¹ of the alive subgraph straight
 // off the CSR arrays. Greedy edge order and the running-intersection check
 // are deterministic over edge indices, and the alive restriction preserves
-// relative node and edge order, so the result matches Lemma1Ordering on the
-// induced subgraph mapped back to original ids.
+// relative node and edge order, so the result is the Lemma 1 ordering of
+// the induced subgraph in original ids. A nil alive mask means the whole
+// scheme.
 func lemma1OrderingAlive(fb *bipartite.Frozen, alive graph.Bits) ([]int, error) {
 	corr := fb.HypergraphV1AliveBits(alive)
 	rip := corr.H.GreedyEdgeOrder()
@@ -419,17 +462,21 @@ func lemma1OrderingAlive(fb *bipartite.Frozen, alive graph.Bits) ([]int, error) 
 	return w, nil
 }
 
-// ExactFrozen is Exact on a frozen graph: the Dreyfus–Wagner dynamic
-// program over terminal subsets with flat int32 state. The BFS distance
-// rows are built only for the nodes of the terminals' component C (an
-// intermediate Steiner point of a connected cover can never leave it), and
-// the dp/choice tables are two contiguous blocks indexed s·n+v, so for k+1
-// terminals peak memory is (|C| + 2·2^k)·n int32 words — the 2^k factor is
-// inherent to the DP (Theorem 2 forbids better in general), the |C|·n
-// distance block replaces the former n² one. The context is checked before
-// the distance rows are built, per cancelStride rows, and once per terminal
-// subset of the DP (each subset costs O(|C|²) work, so a deadline is
-// honored well before the exponential loop completes).
+// ExactFrozen solves the node-minimum Steiner problem exactly with the
+// Dreyfus–Wagner dynamic program over terminal subsets. With unit edge
+// weights a tree on t nodes has t−1 edges, so minimizing edges minimizes
+// nodes. Complexity O(3^k·|C| + 2^k·|C|²) for k terminals — exponential in
+// k, as Theorem 2's NP-completeness predicts for the general case; the
+// terminal count is capped at ExactTerminalLimit.
+//
+// The state is flat int32. The BFS distance rows are built only for the
+// nodes of the terminals' component C (an intermediate Steiner point of a
+// connected cover can never leave it), and the dp/choice tables are two
+// contiguous blocks indexed s·n+v, so for k+1 terminals peak memory is
+// (|C| + 2·2^k)·n int32 words. The context is checked before the distance
+// rows are built, per cancelStride rows, and once per terminal subset of
+// the DP (each subset costs O(|C|²) work, so a deadline is honored well
+// before the exponential loop completes).
 func ExactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int) (Tree, error) {
 	var t Tree
 	if err := exactFrozen(ctx, fg, terminals, &t); err != nil {
@@ -466,7 +513,7 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, t *Tree
 	}
 	// Distance rows, one per component member, restricted to the component:
 	// distances between members are unaffected (shortest paths cannot leave
-	// a component) and everything else is -1 on both paths.
+	// a component) and everything else is -1.
 	rowsp := tr.StartSpan("solve.rows")
 	members := comp.AppendOnes(sc.ints[:0])
 	sc.ints = members
@@ -529,9 +576,8 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, t *Tree
 			return err
 		}
 		b := s * n
-		// Merge step: split S at v. Members ascend in id order, so update
-		// order — and therefore tie-breaking — matches the 0..n-1 sweep of
-		// the mutable path exactly.
+		// Merge step: split S at v. Members ascend in id order, which fixes
+		// the update order and therefore the tie-breaking.
 		for _, v := range members {
 			for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
 				if sub < s-sub {
@@ -569,7 +615,10 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, t *Tree
 	}
 	dsp.End()
 
-	// Reconstruct the node set into the alive mask.
+	// Reconstruct the node set into the alive mask. The union of the
+	// reconstruction paths has at most dp[full][root]+1 nodes, and no cover
+	// of the terminals can have fewer, so its spanning tree is a minimum
+	// Steiner tree.
 	rsp := tr.StartSpan("solve.render")
 	nodes := sc.alive
 	nodes.Reset()
@@ -613,10 +662,18 @@ func exactFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, t *Tree
 	return nil
 }
 
-// ApproximateFrozen is Approximate on a frozen graph: the metric-closure
-// 2-approximation with pooled terminal-row BFS distances and the final
-// pruning pass running the word-parallel cover probe. The context is
-// checked per terminal BFS row and every cancelStride pruning probes.
+// ApproximateFrozen computes a Steiner tree with the classical
+// metric-closure heuristic: build the complete graph over the terminals
+// weighted by shortest-path distance, take a minimum spanning tree of it,
+// expand each MST edge into an actual shortest path, and prune redundant
+// nodes. The node count is at most 2× optimal (the usual 2-approximation
+// bound carries over to node counts on unit weights, up to the additive
+// terminal count). This is the fallback where the paper proves the problem
+// NP-hard and no chordality condition rescues it.
+//
+// The terminal BFS rows are pooled and the pruning pass runs the
+// word-parallel cover probe. The context is checked per terminal BFS row
+// and every cancelStride pruning probes.
 func ApproximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int) (Tree, error) {
 	var t Tree
 	if err := approximateFrozen(ctx, fg, terminals, &t); err != nil {
@@ -697,8 +754,7 @@ func approximateFrozen(ctx context.Context, fg *graph.Frozen, terminals []int, t
 	}
 	msp.End()
 	// Prune: drop nodes whose removal keeps a cover (single pass, largest
-	// ids first for determinism). AppendOnes yields ascending ids — the
-	// same order the mutable path gets from its sorted node set.
+	// ids first for determinism). AppendOnes yields ascending ids.
 	rsp := tr.StartSpan("solve.render")
 	alive := nodes
 	order := alive.AppendOnes(sc.ints[:0])

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -16,129 +17,76 @@ import (
 // has its own tests in cancel_test.go).
 var ctx = context.Background()
 
-// assertSameTree fails unless the two trees are identical: same cover node
-// set and same spanning tree edges. The frozen path is built to reproduce
-// the mutable path bit-for-bit, not merely up to optimality.
-func assertSameTree(t *testing.T, label string, mutable, frozen steiner.Tree, err1, err2 error) {
+// solveFrozen runs the frozen solver a golden query names.
+func solveFrozen(fb *bipartite.Frozen, q goldenQuery) (steiner.Tree, error) {
+	fg := fb.G()
+	switch q.solver {
+	case "Algorithm1":
+		return steiner.Algorithm1Frozen(ctx, fb, q.terms)
+	case "Algorithm2":
+		return steiner.Algorithm2Frozen(ctx, fg, q.terms)
+	case "EliminateOrdered":
+		return steiner.EliminateOrderedFrozen(ctx, fg, q.terms, q.order)
+	case "Exact":
+		return steiner.ExactFrozen(ctx, fg, q.terms)
+	case "Approximate":
+		return steiner.ApproximateFrozen(ctx, fg, q.terms)
+	case "Algorithm1WithOrder":
+		return steiner.Algorithm1WithOrder(ctx, fb, q.terms, q.order)
+	case "EliminateOrderedStrict":
+		return steiner.EliminateOrderedStrict(ctx, fg, q.terms, q.order)
+	}
+	panic("unknown solver " + q.solver)
+}
+
+// checkGolden runs every query on the matrix-backed frozen view of its
+// scheme and on a matrix-stripped CSR view, and compares both answers
+// with the golden line recorded for the query. The frozen path must
+// reproduce the recorded answers bit for bit, errors included, not merely
+// up to optimality.
+func checkGolden(t *testing.T, file string, queries []goldenQuery) {
 	t.Helper()
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("%s: error mismatch: mutable %v, frozen %v", label, err1, err2)
+	lines := readGolden(t, file)
+	if len(lines) != len(queries) {
+		t.Fatalf("%s: %d golden lines for %d queries", file, len(lines), len(queries))
 	}
-	if err1 != nil {
-		if err1.Error() != err2.Error() {
-			t.Fatalf("%s: different errors: mutable %v, frozen %v", label, err1, err2)
+	var scheme *bipartite.Graph
+	var views [2]*bipartite.Frozen
+	for i, q := range queries {
+		if q.b != scheme {
+			scheme = q.b
+			views[0] = q.b.Freeze()
+			_, views[1] = stripMatrix(t, views[0])
 		}
-		return
-	}
-	if !mutable.Nodes.Equal(frozen.Nodes) {
-		t.Fatalf("%s: node sets differ: mutable %v, frozen %v", label, mutable.Nodes, frozen.Nodes)
-	}
-	if len(mutable.Edges) != len(frozen.Edges) {
-		t.Fatalf("%s: edge counts differ", label)
-	}
-	for i := range mutable.Edges {
-		if mutable.Edges[i] != frozen.Edges[i] {
-			t.Fatalf("%s: edge %d differs: mutable %v, frozen %v", label, i, mutable.Edges[i], frozen.Edges[i])
+		key := q.key() + "\t"
+		want, ok := strings.CutPrefix(lines[i], key)
+		if !ok {
+			t.Fatalf("%s:%d: input drift: golden line %.200q, query %.200q", file, i+1, lines[i], key)
+		}
+		for vi, view := range []string{"matrix", "csr"} {
+			if got := formatAnswer(solveFrozen(views[vi], q)); got != want {
+				t.Errorf("%s:%d: %s %s terms=%v on %s view:\n got    %s\n golden %s",
+					file, i+1, q.solver, q.name, q.terms, view, got, want)
+			}
 		}
 	}
-}
-
-// fixtureSchemes returns every bipartite fixture of the paper that the
-// solvers run on.
-func fixtureSchemes() map[string]*bipartite.Graph {
-	return map[string]*bipartite.Graph{
-		"Fig2":  fixtures.Fig2(),
-		"Fig3a": fixtures.Fig3a(),
-		"Fig3b": fixtures.Fig3b(),
-		"Fig3c": fixtures.Fig3c(),
-		"Fig5":  fixtures.Fig5(),
-		"Fig8":  fixtures.Fig8(),
-		"Fig10": fixtures.Fig10(),
-		"Fig11": fixtures.Fig11(),
-	}
-}
-
-// terminalSets enumerates small terminal subsets of a graph for the
-// equivalence sweeps.
-func terminalSets(r *rand.Rand, n int) [][]int {
-	sets := [][]int{{0}, {0, n - 1}}
-	for k := 2; k <= 4 && k <= n; k++ {
-		perm := r.Perm(n)
-		sets = append(sets, perm[:k])
-	}
-	return sets
 }
 
 func TestAlgorithm2FrozenMatchesMutableOnFixtures(t *testing.T) {
-	r := rand.New(rand.NewSource(51))
-	for name, b := range fixtureSchemes() {
-		g := b.G()
-		fg := g.Freeze()
-		for _, terms := range terminalSets(r, g.N()) {
-			want, err1 := steiner.Algorithm2(g, terms)
-			got, err2 := steiner.Algorithm2Frozen(ctx, fg, terms)
-			assertSameTree(t, name, want, got, err1, err2)
-		}
-	}
+	checkGolden(t, "fixtures_algorithm2.golden", fixtureQueries(51, "Algorithm2"))
 }
 
 func TestAlgorithm1FrozenMatchesMutableOnFixtures(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	for name, b := range fixtureSchemes() {
-		fb := b.Freeze()
-		for _, terms := range terminalSets(r, b.N()) {
-			want, err1 := steiner.Algorithm1(b, terms)
-			got, err2 := steiner.Algorithm1Frozen(ctx, fb, terms)
-			assertSameTree(t, name, want, got, err1, err2)
-		}
-	}
+	checkGolden(t, "fixtures_algorithm1.golden", fixtureQueries(53, "Algorithm1"))
 }
 
 func TestFrozenSolversMatchMutableRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(59))
-	for trial := 0; trial < 25; trial++ {
-		var b *bipartite.Graph
-		switch trial % 3 {
-		case 0:
-			b = bipartite.FromHypergraph(gen.AlphaAcyclic(r, 6+r.Intn(20), 4, 3)).B
-		case 1:
-			b = bipartite.FromHypergraph(gen.GammaAcyclic(r, 6+r.Intn(20), 3, 3)).B
-		default:
-			b = gen.RandomBipartite(r, 4+r.Intn(10), 4+r.Intn(10), 0.3)
-		}
-		g := b.G()
-		fb := b.Freeze()
-		fg := fb.G()
-		for _, terms := range terminalSets(r, g.N()) {
-			want, err1 := steiner.Algorithm2(g, terms)
-			got, err2 := steiner.Algorithm2Frozen(ctx, fg, terms)
-			assertSameTree(t, "Algorithm2", want, got, err1, err2)
-
-			want, err1 = steiner.Algorithm1(b, terms)
-			got, err2 = steiner.Algorithm1Frozen(ctx, fb, terms)
-			assertSameTree(t, "Algorithm1", want, got, err1, err2)
-
-			order := r.Perm(g.N())
-			want, err1 = steiner.EliminateOrdered(g, terms, order)
-			got, err2 = steiner.EliminateOrderedFrozen(ctx, fg, terms, order)
-			assertSameTree(t, "EliminateOrdered", want, got, err1, err2)
-
-			if len(terms) <= 6 {
-				want, err1 = steiner.Exact(g, terms)
-				got, err2 = steiner.ExactFrozen(ctx, fg, terms)
-				assertSameTree(t, "Exact", want, got, err1, err2)
-			}
-
-			want, err1 = steiner.Approximate(g, terms)
-			got, err2 = steiner.ApproximateFrozen(ctx, fg, terms)
-			assertSameTree(t, "Approximate", want, got, err1, err2)
-		}
-	}
+	checkGolden(t, "random.golden", randomQueries())
 }
 
 func TestFrozenSolverErrors(t *testing.T) {
 	// Two disconnected arcs: terminals spanning components must fail the
-	// same way on both paths.
+	// same way in every solver.
 	b := bipartite.New()
 	a1, a2 := b.AddV1("a1"), b.AddV1("a2")
 	r1, r2 := b.AddV2("r1"), b.AddV2("r2")
@@ -161,13 +109,10 @@ func TestFrozenSolverErrors(t *testing.T) {
 		t.Error("Algorithm2Frozen on empty terminals should fail")
 	}
 
-	// A non-alpha-acyclic component must be rejected by Algorithm 1 on both
-	// paths.
-	cyc := fixtures.Fig3c()
-	terms := cyc.G().IDs("A", "B")
-	if _, err := steiner.Algorithm1(cyc, terms); !errors.Is(err, steiner.ErrNotAlphaAcyclic) {
-		t.Skipf("fixture unexpectedly alpha-acyclic: %v", err)
-	}
+	// A non-alpha-acyclic component must be rejected by Algorithm 1: H¹ of
+	// Fig 8 is cyclic.
+	cyc := fixtures.Fig8()
+	terms := cyc.G().IDs("A", "C", "D")
 	if _, err := steiner.Algorithm1Frozen(ctx, cyc.Freeze(), terms); !errors.Is(err, steiner.ErrNotAlphaAcyclic) {
 		t.Errorf("Algorithm1Frozen should reject non-alpha-acyclic component, got %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // disambiguating interface proposes query interpretations (Section 1 of
 // the paper; Fig 1's birthdate reading before its works-in reading).
 //
-// A connection tree is a tree of g containing every terminal whose leaves
+// A connection tree is a tree of fg containing every terminal whose leaves
 // are all terminals (an internal auxiliary node may be "skippable" for
 // connectivity — the works-in reading remains a distinct interpretation
 // even though the birthdate edge already connects the query). Two trees
@@ -25,10 +25,10 @@ import (
 // checked throughout the enumeration (per candidate subset and inside the
 // spanning-tree backtracking), so a deadline bounds the enumeration; on
 // cancellation RankedCovers returns ctx.Err().
-func RankedCovers(ctx context.Context, g *graph.Graph, terminals []int, maxAux, limit int) ([]intset.Set, error) {
+func RankedCovers(ctx context.Context, fg *graph.Frozen, terminals []int, maxAux, limit int) ([]intset.Set, error) {
 	p := intset.FromSlice(terminals)
 	var others []int
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < fg.N(); v++ {
 		if !p.Contains(v) {
 			others = append(others, v)
 		}
@@ -45,7 +45,7 @@ func RankedCovers(ctx context.Context, g *graph.Graph, terminals []int, maxAux, 
 			return
 		}
 		sel := p.Union(intset.FromSlice(cur))
-		if hasConnectionTree(ctx, g, sel, p, &steps) {
+		if hasConnectionTree(ctx, fg, sel, p, &steps) {
 			out = append(out, sel)
 		}
 		if len(cur) >= maxAux {
@@ -80,7 +80,7 @@ func RankedCovers(ctx context.Context, g *graph.Graph, terminals []int, maxAux, 
 // calls so the context is polled at a bounded stride even when individual
 // calls are tiny; on cancellation the result is meaningless and the caller
 // must check ctx.Err().
-func hasConnectionTree(ctx context.Context, g *graph.Graph, sel intset.Set, p intset.Set, steps *int) bool {
+func hasConnectionTree(ctx context.Context, fg *graph.Frozen, sel intset.Set, p intset.Set, steps *int) bool {
 	n := sel.Len()
 	if n == 0 {
 		return false
@@ -94,9 +94,9 @@ func hasConnectionTree(ctx context.Context, g *graph.Graph, sel intset.Set, p in
 	}
 	var edges [][2]int
 	for _, v := range sel {
-		for _, w := range g.Neighbors(v) {
-			if v < w && sel.Contains(w) {
-				edges = append(edges, [2]int{pos[v], pos[w]})
+		for _, w := range fg.Neighbors(v) {
+			if v < int(w) && sel.Contains(int(w)) {
+				edges = append(edges, [2]int{pos[v], pos[int(w)]})
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bipartite"
 	"repro/internal/graph"
 	"repro/internal/intset"
 )
@@ -22,8 +23,8 @@ var ErrEmptyTerminals = errors.New("steiner: empty terminal set")
 // general), so the limit keeps one query from monopolizing a process.
 var ErrTooManyTerminals = errors.New("steiner: terminal count exceeds the exact solver's limit")
 
-// ExactTerminalLimit is the largest terminal set Exact and ExactFrozen
-// accept before returning ErrTooManyTerminals.
+// ExactTerminalLimit is the largest terminal set ExactFrozen accepts
+// before returning ErrTooManyTerminals.
 const ExactTerminalLimit = 20
 
 // Tree is a connected subgraph returned by the solvers: the node set of a
@@ -40,10 +41,9 @@ func (t Tree) Validate(g *graph.Graph, terminals []int) error {
 	return t.validate(g.N(), g.Label, g.HasEdge, terminals)
 }
 
-// ValidateFrozen is Validate against the compiled CSR view — same checks,
-// no thaw. Used by warm-restore paths that revive cached answers from a
-// snapshot and must verify them against the frozen scheme they booted
-// with, without materializing the mutable graph.
+// ValidateFrozen is Validate against the compiled CSR view — same checks.
+// Used by warm-restore paths that revive cached answers from a snapshot
+// and must verify them against the frozen scheme they booted with.
 func (t Tree) ValidateFrozen(f *graph.Frozen, terminals []int) error {
 	return t.validate(f.N(), f.Label, f.HasEdge, terminals)
 }
@@ -116,100 +116,54 @@ func (t Tree) CountSide(isSide func(v int) bool) int {
 	return n
 }
 
-// componentAlive returns the alive mask of the connected component of g
-// containing all terminals, or an error when they span components.
-func componentAlive(g *graph.Graph, terminals []int) ([]bool, error) {
-	if len(terminals) == 0 {
-		return nil, ErrEmptyTerminals
-	}
-	comp := g.ComponentContaining(terminals)
-	if comp == nil {
-		return nil, ErrDisconnectedTerminals
-	}
-	alive := make([]bool, g.N())
-	for _, v := range comp {
-		alive[v] = true
-	}
-	return alive, nil
-}
+// ErrNotAlphaAcyclic is returned by Algorithm1Frozen when H¹G of the
+// terminals' component is not α-acyclic, i.e. the graph is not V1-chordal
+// and V1-conformal, so Lemma 1's elimination ordering does not exist.
+var ErrNotAlphaAcyclic = errors.New("steiner: graph is not V1-chordal and V1-conformal (H¹ not alpha-acyclic)")
 
-// spanningTree builds the Tree result for an alive cover.
-func spanningTree(g *graph.Graph, alive []bool) (Tree, error) {
-	edges, ok := g.SpanningTreeAlive(alive)
-	if !ok {
-		return Tree{}, errors.New("steiner: cover is not connected (internal error)")
-	}
-	var nodes []int
-	for v := 0; v < g.N(); v++ {
-		if alive[v] {
-			nodes = append(nodes, v)
-		}
-	}
-	return Tree{Nodes: intset.FromSlice(nodes), Edges: edges}, nil
-}
-
-// EliminateOrdered runs the redundant-node elimination of Definition 11 in
-// one pass: nodes are visited in the given order and removed whenever the
-// terminals remain connected among themselves afterwards. Removing a node
-// may strand a pendant fragment; stranded nodes are themselves removable
-// and disappear when the pass reaches them, so the surviving subgraph is
-// exactly the terminals' component — a *nonredundant* cover (Theorem 5's
-// Step 1). One pass suffices: a kept node is a cut node separating the
-// terminals, and deleting further nodes never creates new paths, so it
-// stays one (this is also what keeps the algorithm at the O(|V|·|A|) of
-// Theorem 5). The ordering determines WHICH nonredundant cover is reached —
-// the substance of Definition 11 and Theorem 6.
+// Lemma1Ordering returns the elimination ordering W = v₁², …, v_q² of the
+// V2 nodes of a connected V1-chordal, V1-conformal bipartite graph, as in
+// Lemma 1:
 //
-// On a (6,2)-chordal bipartite graph every nonredundant cover is minimum
-// (Lemma 5), so every ordering yields a minimum cover (Corollary 5); this
-// is Algorithm 2 when the order is arbitrary. On general graphs the result
-// is only guaranteed nonredundant.
-func EliminateOrdered(g *graph.Graph, terminals []int, order []int) (Tree, error) {
-	alive, err := componentAlive(g, terminals)
-	if err != nil {
-		return Tree{}, err
-	}
-	p := intset.FromSlice(terminals)
-	for _, v := range order {
-		if v < 0 || v >= g.N() || !alive[v] || p.Contains(v) {
-			continue
-		}
-		alive[v] = false
-		if !g.TerminalsConnected(alive, terminals) {
-			alive[v] = true
-		}
-	}
-	// Nodes outside `order` (or stranded after their turn, which cannot
-	// happen for kept nodes but can for never-visited ones) may survive
-	// outside the terminals' component; restrict to it.
-	restrictToTerminalComponent(g, alive, terminals)
-	return spanningTree(g, alive)
+//  1. every suffix of W, together with its neighbourhood, induces a
+//     connected subgraph, and
+//  2. Adj(vᵢ) ∩ Adj({vᵢ₊₁, …, v_q}) ⊆ Adj(v_jᵢ) for some jᵢ > i
+//     (the running intersection property, reversed).
+//
+// It returns ErrNotAlphaAcyclic when H¹ is not α-acyclic. V2 nodes of
+// degree zero are appended first (removing them is always safe).
+//
+// The ordering comes from the greedy maximum-cardinality edge order —
+// Theorem 4's Tarjan–Yannakakis route: on α-acyclic hypergraphs it
+// satisfies the running intersection property (verified here; failure is
+// exactly non-α-acyclicity, which doubles as the precondition check).
+func Lemma1Ordering(fb *bipartite.Frozen) ([]int, error) {
+	return lemma1OrderingAlive(fb, nil)
 }
 
-// restrictToTerminalComponent clears alive flags outside the terminals'
-// connected component.
-func restrictToTerminalComponent(g *graph.Graph, alive []bool, terminals []int) {
-	if len(terminals) == 0 {
-		return
-	}
-	dist := g.BFSDistancesAlive(terminals[0], alive)
-	for v := range alive {
-		if alive[v] && dist[v] == -1 {
-			alive[v] = false
-		}
-	}
+// V2Count returns the number of V2 nodes of the tree in b.
+func V2Count(b *bipartite.Graph, t Tree) int {
+	return t.CountSide(func(v int) bool { return b.Side(v) == graph.Side2 })
 }
 
-// Algorithm2 solves the Steiner problem on a (6,2)-chordal bipartite graph
-// (Theorem 5): it eliminates redundant nodes in id order and returns a
-// spanning tree of the resulting cover, which Lemma 5 guarantees to be
-// minimum. The precondition ((6,2)-chordality) is the caller's
-// responsibility — use chordality.Is62Chordal or core.Connector; on other
-// graphs the result is a nonredundant, possibly non-minimum, cover.
-func Algorithm2(g *graph.Graph, terminals []int) (Tree, error) {
-	order := make([]int, g.N())
-	for i := range order {
-		order[i] = i
+// V2CountFrozen is V2Count on the compiled view — the serving path's
+// variant, so certifying V2-minimality never needs the mutable graph.
+func V2CountFrozen(fb *bipartite.Frozen, t Tree) int {
+	return t.CountSide(func(v int) bool { return fb.Side(v) == graph.Side2 })
+}
+
+// String renders a tree using the graph's labels.
+func (t Tree) String(g *graph.Graph) string {
+	s := "tree{"
+	for i, v := range t.Nodes {
+		if i > 0 {
+			s += " "
+		}
+		s += g.Label(v)
 	}
-	return EliminateOrdered(g, terminals, order)
+	s += " |"
+	for _, e := range t.Edges {
+		s += fmt.Sprintf(" %s-%s", g.Label(e.U), g.Label(e.V))
+	}
+	return s + "}"
 }

@@ -31,7 +31,7 @@ func TestExactAgainstReference(t *testing.T) {
 			k = g.N()
 		}
 		terms := pickTerminals(r, g.N(), k)
-		tree, err := steiner.Exact(g, terms)
+		tree, err := steiner.ExactFrozen(ctx, g.Freeze(), terms)
 		if err != nil {
 			t.Fatalf("Exact failed on %v: %v", g, err)
 		}
@@ -48,15 +48,15 @@ func TestExactAgainstReference(t *testing.T) {
 func TestExactEdgeCases(t *testing.T) {
 	g := graph.NewWithNodes("a", "b")
 	g.AddEdge(0, 1)
-	tree, err := steiner.Exact(g, []int{0})
+	tree, err := steiner.ExactFrozen(ctx, g.Freeze(), []int{0})
 	if err != nil || tree.Nodes.Len() != 1 {
 		t.Errorf("singleton terminal: %v, %v", tree, err)
 	}
-	if _, err := steiner.Exact(g, nil); err == nil {
+	if _, err := steiner.ExactFrozen(ctx, g.Freeze(), nil); err == nil {
 		t.Error("empty terminals accepted")
 	}
 	g.AddNode("iso")
-	if _, err := steiner.Exact(g, []int{0, 2}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
+	if _, err := steiner.ExactFrozen(ctx, g.Freeze(), []int{0, 2}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
 		t.Errorf("expected ErrDisconnectedTerminals, got %v", err)
 	}
 }
@@ -83,7 +83,7 @@ func TestAlgorithm2OnChordal62(t *testing.T) {
 			k = g.N()
 		}
 		terms := pickTerminals(r, g.N(), k)
-		tree, err := steiner.Algorithm2(g, terms)
+		tree, err := steiner.Algorithm2Frozen(ctx, g.Freeze(), terms)
 		if err != nil {
 			t.Fatalf("Algorithm2 failed: %v", err)
 		}
@@ -118,7 +118,7 @@ func TestCorollary5AllOrderingsGood(t *testing.T) {
 		want := reference.SteinerMinimumNodes(g, terms)
 		for trial := 0; trial < 6; trial++ {
 			order := r.Perm(g.N())
-			tree, err := steiner.EliminateOrdered(g, terms, order)
+			tree, err := steiner.EliminateOrderedFrozen(ctx, g.Freeze(), terms, order)
 			if err != nil {
 				t.Fatalf("EliminateOrdered failed: %v", err)
 			}
@@ -198,7 +198,7 @@ func TestAlgorithm1OnAlphaAcyclic(t *testing.T) {
 			k = g.N()
 		}
 		terms := pickTerminals(r, g.N(), k)
-		tree, err := steiner.Algorithm1(b, terms)
+		tree, err := steiner.Algorithm1Frozen(ctx, b.Freeze(), terms)
 		if err != nil {
 			t.Fatalf("Algorithm1 failed on %v: %v", h, err)
 		}
@@ -228,7 +228,7 @@ func TestAlgorithm1RejectsNonAcyclic(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.AddEdge(ids[i], ids[(i+1)%8])
 	}
-	_, err := steiner.Algorithm1(b, []int{ids[0], ids[4]})
+	_, err := steiner.Algorithm1Frozen(ctx, b.Freeze(), []int{ids[0], ids[4]})
 	if !errors.Is(err, steiner.ErrNotAlphaAcyclic) {
 		t.Errorf("expected ErrNotAlphaAcyclic, got %v", err)
 	}
@@ -240,7 +240,7 @@ func TestAlgorithm1DisconnectedTerminals(t *testing.T) {
 	w := b.AddV2("w")
 	b.AddEdge(a, w)
 	c := b.AddV1("c")
-	if _, err := steiner.Algorithm1(b, []int{a, c}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
+	if _, err := steiner.Algorithm1Frozen(ctx, b.Freeze(), []int{a, c}); !errors.Is(err, steiner.ErrDisconnectedTerminals) {
 		t.Errorf("expected ErrDisconnectedTerminals, got %v", err)
 	}
 }
@@ -259,7 +259,7 @@ func TestLemma1OrderingProperties(t *testing.T) {
 			continue
 		}
 		checked++
-		w, err := steiner.Lemma1Ordering(b)
+		w, err := steiner.Lemma1Ordering(b.Freeze())
 		if err != nil {
 			t.Fatalf("ordering failed: %v", err)
 		}
@@ -315,7 +315,7 @@ func TestApproximateIsValidAndBounded(t *testing.T) {
 			k = g.N()
 		}
 		terms := pickTerminals(r, g.N(), k)
-		tree, err := steiner.Approximate(g, terms)
+		tree, err := steiner.ApproximateFrozen(ctx, g.Freeze(), terms)
 		if err != nil {
 			t.Fatalf("Approximate failed: %v", err)
 		}
@@ -434,7 +434,7 @@ func TestTheorem6Fig11(t *testing.T) {
 		// adversarial "lead first" one.
 		for trial := 0; trial < 8; trial++ {
 			order := leadFirstOrder(g, lead, trial)
-			tree, err := steiner.EliminateOrdered(g, terms, order)
+			tree, err := steiner.EliminateOrderedFrozen(ctx, g.Freeze(), terms, order)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -469,7 +469,7 @@ func TestFig11SomeOrderingFindsOptimumPerCase(t *testing.T) {
 	terms := g.IDs("3", "C", "4", "D")
 	opt := reference.SteinerMinimumNodes(g, terms)
 	order := g.IDs("1", "2", "B", "E", "F", "5", "6", "A", "C", "D", "3", "4")
-	tree, err := steiner.EliminateOrdered(g, terms, order)
+	tree, err := steiner.EliminateOrderedFrozen(ctx, g.Freeze(), terms, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,14 +514,14 @@ func TestAlgorithm1PseudoVsSteinerGap(t *testing.T) {
 		b.AddEdge(arc[0], arc[1])
 	}
 	terms := []int{a, bb}
-	tree, err := steiner.Algorithm1(b, terms)
+	tree, err := steiner.Algorithm1Frozen(ctx, b.Freeze(), terms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := steiner.V2Count(b, tree), reference.MinimumV2Count(b, terms); got != want || got != 2 {
 		t.Fatalf("V2 count %d, want %d (and 2)", got, want)
 	}
-	exact, err := steiner.Exact(b.G(), terms)
+	exact, err := steiner.ExactFrozen(ctx, b.G().Freeze(), terms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Pinned benchmark trajectory: run the serving-path benchmarks every PR
-# cares about (mutable-vs-frozen solver cost, hot cache serving, batch
+# cares about (frozen solver cost per query, hot cache serving, batch
 # throughput, the bit-parallel kernels against their CSR fallbacks, and
 # the cache's miss-plus-eviction and warm-restore cost at capacity),
 # then fold them together with a chordalctl load-harness run into one
@@ -31,7 +31,10 @@ MICRO=$(mktemp)
 trap 'rm -f "$RAW" "$MICRO"' EXIT
 
 # Each invocation pins one package's benchmark set; -run 'xxx' skips the
-# tests so only benchmarks execute.
+# tests so only benchmarks execute. BenchmarkSteinerMutableVsFrozen keeps
+# its name, but only its */Frozen/* rows remain: trajectory files recorded
+# before the mutable solvers were deleted also hold */Mutable/* rows, which
+# have no successor.
 {
   go test -run 'xxx' -bench 'BenchmarkSteinerMutableVsFrozen|BenchmarkServiceThroughput' \
     -benchmem -benchtime "$BENCHTIME" -timeout 15m .
