@@ -82,8 +82,9 @@ func BenchmarkAcyclicity(b *testing.B) {
 		}
 	})
 	b.Run("Conformal/alpha-m=40", func(b *testing.B) {
+		chordal := chordality.IsChordal(alpha.PrimalGraph())
 		for i := 0; i < b.N; i++ {
-			alpha.Conformal()
+			alpha.Conformal(chordal)
 		}
 	})
 	b.Run("Dual/alpha-m=40", func(b *testing.B) {
@@ -418,6 +419,41 @@ func BenchmarkClassifyMutableVsFrozen(b *testing.B) {
 		b.Run(fmt.Sprintf("Frozen/n=%d", 2*size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				chordality.ClassifyFrozen(fg)
+			}
+		})
+	}
+}
+
+// BenchmarkClassifyFrozen measures compiling a scheme's class, the step
+// core.New runs once per scheme after Freeze: on servebench solve-batch's
+// four schemes (same generators, seed 1985) and on sparse γ-acyclic
+// schemes from gen.GammaAcyclic (seed 7) at 320, 1,280 and 5,120 edges —
+// about 950, 3,800 and 15,300 nodes — where a super-linear recognizer
+// shows as growth per size step.
+func BenchmarkClassifyFrozen(b *testing.B) {
+	r := rand.New(rand.NewSource(1985))
+	tree := gen.RandomTree(r, 400)
+	schemes := []struct {
+		name string
+		b    *bipartite.Graph
+	}{
+		{"solve-batch/tree400", tree},
+		{"solve-batch/alpha-chain", bipartite.FromHypergraph(gen.NestedChain(20, 9)).B},
+		{"solve-batch/sparse200", gen.RandomConnectedBipartite(r, 100, 100, 0.02)},
+		{"solve-batch/grid10", gen.GridBipartite(10, 10)},
+	}
+	for _, m := range []int{320, 1280, 5120} {
+		bg := bipartite.FromHypergraph(gen.GammaAcyclic(rand.New(rand.NewSource(7)), m, 3, 3)).B
+		schemes = append(schemes, struct {
+			name string
+			b    *bipartite.Graph
+		}{fmt.Sprintf("gamma/edges=%d/V=%d", m, bg.N()), bg})
+	}
+	for _, sc := range schemes {
+		fb := sc.b.Freeze()
+		b.Run(sc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				chordality.ClassifyFrozen(fb)
 			}
 		})
 	}

@@ -14,8 +14,23 @@
 //	V1-conformal  ⟺ H¹G conformal         (Fact (b))
 //	V1-chordal ∧ V1-conformal ⟺ H¹G α-acyclic
 //
+// ClassifyFrozen computes each verdict once, near-linearly on sparse
+// schemes:
+//
+//   - primal chordality by maximum cardinality search with a bucket queue
+//     (Tarjan & Yannakakis) and a perfect-elimination check;
+//   - conformality, given that verdict: on a chordal primal graph it is
+//     α-acyclicity (Beeri, Fagin, Maier & Yannakakis), which GYO decides;
+//     only a non-chordal one runs Gilmore's triple scan, O(m⁴) set
+//     operations;
+//   - β-acyclicity by worklist nest-point elimination, shared by (6,1) and
+//     (6,2);
+//   - the special-triangle half of γ-acyclicity over intersecting edge
+//     pairs only.
+//
 // Each fast test is certified against the literal Definition 4/5 checks of
-// internal/reference in this package's tests.
+// internal/reference in this package's tests, and against the plain
+// polynomial scans it replaced on inputs too large for the definitions.
 package chordality
 
 import (
@@ -70,7 +85,8 @@ func IsV2Chordal(b *bipartite.Graph) bool {
 // (Definition 5): every set of V1 nodes with mutual distance 2 has a
 // common V2 neighbour. Equivalent to conformality of H¹G (Fact (b)).
 func IsV1Conformal(b *bipartite.Graph) bool {
-	return b.HypergraphV1().H.Conformal()
+	h := b.HypergraphV1().H
+	return h.Conformal(IsChordal(h.PrimalGraph()))
 }
 
 // IsV2Conformal is IsV1Conformal with the sides swapped.

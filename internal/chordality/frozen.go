@@ -25,30 +25,88 @@ func IsChordalFrozen(f *graph.Frozen) bool {
 // MCSOrderFrozen returns a maximum cardinality search visit order: each
 // step visits an unvisited node with the maximum number of visited
 // neighbours (ties broken by lowest id, so the order is deterministic).
+//
+// The unvisited nodes wait in a bucket queue indexed by weight (Tarjan &
+// Yannakakis [12]); each bucket is a min-heap of ids, for the tie-break.
+// A node gaining weight is pushed into the next bucket and its old entry
+// is left behind, dropped when it surfaces. There are at most n + m
+// pushes, so the search costs O(n + m log n), where m counts arcs.
 func MCSOrderFrozen(f *graph.Frozen) []int {
 	n := f.N()
 	weight := make([]int32, n)
 	visited := make([]bool, n)
 	order := make([]int, 0, n)
+	// Bucket 0 starts with every id in increasing order, already a heap.
+	first := make(idHeap, n)
+	for v := range first {
+		first[v] = int32(v)
+	}
+	buckets := []idHeap{first}
+	top := 0
 	for len(order) < n {
-		best := -1
-		for v := 0; v < n; v++ {
-			if visited[v] {
+		for len(buckets[top]) == 0 {
+			top--
+		}
+		v := buckets[top].pop()
+		if visited[v] || weight[v] != int32(top) {
+			continue
+		}
+		visited[v] = true
+		order = append(order, int(v))
+		for _, w := range f.Neighbors(int(v)) {
+			if visited[w] {
 				continue
 			}
-			if best == -1 || weight[v] > weight[best] {
-				best = v
+			weight[w]++
+			k := int(weight[w])
+			if k == len(buckets) {
+				buckets = append(buckets, nil)
 			}
-		}
-		visited[best] = true
-		order = append(order, best)
-		for _, w := range f.Neighbors(best) {
-			if !visited[w] {
-				weight[w]++
-			}
+			buckets[k].push(w)
+			top = max(top, k)
 		}
 	}
 	return order
+}
+
+// idHeap is a binary min-heap of node ids.
+type idHeap []int32
+
+func (h *idHeap) push(v int32) {
+	a := append(*h, v)
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a[p] <= a[i] {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+	*h = a
+}
+
+func (h *idHeap) pop() int32 {
+	a := *h
+	v := a[0]
+	last := len(a) - 1
+	a[0] = a[last]
+	a = a[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && a[c+1] < a[c] {
+			c++
+		}
+		if a[i] <= a[c] {
+			break
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
+	*h = a
+	return v
 }
 
 // PerfectEliminationOrderFrozen returns a perfect elimination ordering of
@@ -88,17 +146,24 @@ func PerfectEliminationOrderFrozen(f *graph.Frozen) ([]int, bool) {
 	return peo, true
 }
 
-// ClassifyFrozen runs every recognizer on the frozen scheme.
+// ClassifyFrozen runs every recognizer on the frozen scheme. Each verdict
+// is computed once: β-acyclicity of H¹ feeds both Chordal61 and Chordal62,
+// and each primal-chordality verdict feeds the matching conformality test,
+// which then needs Gilmore's scan only when the primal graph is not
+// chordal (see hypergraph.Conformal).
 func ClassifyFrozen(fb *bipartite.Frozen) Class {
 	h1 := fb.HypergraphV1().H
 	h2 := fb.HypergraphV2().H
+	v1Chordal := IsChordalFrozen(h1.PrimalGraph().Freeze())
+	v2Chordal := IsChordalFrozen(h2.PrimalGraph().Freeze())
+	beta := h1.BetaAcyclic()
 	return Class{
 		Chordal41:   fb.G().IsForest(),
-		Chordal62:   h1.GammaAcyclic(),
-		Chordal61:   h1.BetaAcyclic(),
-		V1Chordal:   IsChordalFrozen(h1.PrimalGraph().Freeze()),
-		V1Conformal: h1.Conformal(),
-		V2Chordal:   IsChordalFrozen(h2.PrimalGraph().Freeze()),
-		V2Conformal: h2.Conformal(),
+		Chordal62:   beta && h1.FindGammaTriangle() == nil,
+		Chordal61:   beta,
+		V1Chordal:   v1Chordal,
+		V1Conformal: h1.Conformal(v1Chordal),
+		V2Chordal:   v2Chordal,
+		V2Conformal: h2.Conformal(v2Chordal),
 	}
 }

@@ -2,10 +2,12 @@ package chordality
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/intset"
 	"repro/internal/reference"
 )
@@ -81,6 +83,45 @@ func TestFrozenPEOMatchesMutable(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestMCSOrderMatchesScan holds the bucket-queue MCS to the direct
+// definition — each step scans every unvisited node for the most visited
+// neighbours, lowest id first — order for order, on sparse, dense,
+// disconnected and chordal graphs.
+func TestMCSOrderMatchesScan(t *testing.T) {
+	scan := func(f *graph.Frozen) []int {
+		n := f.N()
+		weight := make([]int, n)
+		visited := make([]bool, n)
+		var order []int
+		for len(order) < n {
+			best := -1
+			for v := 0; v < n; v++ {
+				if !visited[v] && (best == -1 || weight[v] > weight[best]) {
+					best = v
+				}
+			}
+			visited[best] = true
+			order = append(order, best)
+			for _, w := range f.Neighbors(best) {
+				weight[w]++
+			}
+		}
+		return order
+	}
+	r := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(120)
+		g := gen.RandomGraph(r, n, []float64{0.01, 0.05, 0.3, 0.9}[trial%4])
+		if trial%5 == 0 {
+			g = gen.RandomChordalGraph(r, n, 1+r.Intn(4))
+		}
+		f := g.Freeze()
+		if got, want := MCSOrderFrozen(f), scan(f); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): bucket queue %v, scan %v", trial, n, got, want)
 		}
 	}
 }

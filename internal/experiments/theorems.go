@@ -17,6 +17,28 @@ import (
 	"repro/internal/ur"
 )
 
+// Corpus is a named set of generated schemes: a size bucket or a
+// generator family of one experiment table.
+type Corpus struct {
+	Name    string
+	Schemes []*bipartite.Graph
+}
+
+// Theorem1Corpus returns E-T1's random bipartite graphs, one corpus per
+// size bucket, in the order the experiment checks them.
+func Theorem1Corpus() []Corpus {
+	r := rand.New(rand.NewSource(1))
+	var out []Corpus
+	for _, bk := range []struct{ n1, n2, samples int }{{3, 3, 150}, {4, 4, 120}, {5, 4, 80}} {
+		c := Corpus{Name: fmt.Sprintf("%dx%d", bk.n1, bk.n2)}
+		for s := 0; s < bk.samples; s++ {
+			c.Schemes = append(c.Schemes, gen.RandomBipartite(r, bk.n1, bk.n2, r.Float64()))
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
 // ETheorem1 cross-validates the six statements of Theorem 1 on random
 // bipartite graphs, bucketed by size.
 func ETheorem1(ctx context.Context) Table {
@@ -25,14 +47,9 @@ func ETheorem1(ctx context.Context) Table {
 		Title:  "Theorem 1: graph-side vs hypergraph-side recognizer agreement",
 		Header: []string{"bucket", "samples", "(i)", "(ii)", "(iii)", "(iv)", "(v)", "(vi)", "verdict"},
 	}
-	r := rand.New(rand.NewSource(1))
-	buckets := []struct{ n1, n2, samples int }{
-		{3, 3, 150}, {4, 4, 120}, {5, 4, 80},
-	}
-	for _, bk := range buckets {
+	for _, c := range Theorem1Corpus() {
 		agree := [6]int{}
-		for s := 0; s < bk.samples; s++ {
-			b := gen.RandomBipartite(r, bk.n1, bk.n2, r.Float64())
+		for _, b := range c.Schemes {
 			h1 := b.HypergraphV1().H
 			h2 := b.HypergraphV2().H
 			sw := b.Swap()
@@ -43,8 +60,11 @@ func ETheorem1(ctx context.Context) Table {
 				chordality.Is41Chordal(sw) == h2.BergeAcyclic() &&
 					chordality.Is62Chordal(sw) == h2.GammaAcyclic() &&
 					chordality.Is61Chordal(sw) == h2.BetaAcyclic(),
-				(chordality.IsV1Chordal(b) && chordality.IsV1Conformal(b)) == h1.AlphaAcyclic(),
-				(chordality.IsV2Chordal(b) && chordality.IsV2Conformal(b)) == h2.AlphaAcyclic(),
+				// Conformity is Definition 5's literal check: the fast
+				// recognizer decides it by GYO on chordal schemes, which
+				// would make (v) and (vi) hold by construction.
+				(chordality.IsV1Chordal(b) && reference.IsV1Conformal(b)) == h1.AlphaAcyclic(),
+				(chordality.IsV2Chordal(b) && reference.IsV2Conformal(b)) == h2.AlphaAcyclic(),
 			}
 			for i, ok := range checks {
 				if ok {
@@ -52,11 +72,12 @@ func ETheorem1(ctx context.Context) Table {
 				}
 			}
 		}
+		samples := len(c.Schemes)
 		ok := true
-		row := []string{fmt.Sprintf("%dx%d", bk.n1, bk.n2), itoa(bk.samples)}
+		row := []string{c.Name, itoa(samples)}
 		for i := 0; i < 6; i++ {
-			row = append(row, fmt.Sprintf("%d/%d", agree[i], bk.samples))
-			ok = ok && agree[i] == bk.samples
+			row = append(row, fmt.Sprintf("%d/%d", agree[i], samples))
+			ok = ok && agree[i] == samples
 		}
 		row = append(row, verdict(ok))
 		t.Rows = append(t.Rows, row)
@@ -100,14 +121,9 @@ func ECorollary1(ctx context.Context) Table {
 	return t
 }
 
-// ECorollary2 counts class memberships across generated families,
-// verifying the containment chain and its properness.
-func ECorollary2(ctx context.Context) Table {
-	t := Table{
-		ID:     "E-C2",
-		Title:  "Corollary 2: containment (4,1) ⊂ (6,2) ⊂ (6,1) ⊂ Vi-chordal ∧ Vi-conformal",
-		Header: []string{"family", "samples", "(4,1)", "(6,2)", "(6,1)", "alphaV1", "alphaV2", "verdict"},
-	}
+// Corollary2Corpus returns E-C2's generated schemes, one corpus per
+// family, in the order the experiment classifies them.
+func Corollary2Corpus() []Corpus {
 	r := rand.New(rand.NewSource(3))
 	families := []struct {
 		name string
@@ -123,11 +139,30 @@ func ECorollary2(ctx context.Context) Table {
 		}, 60},
 		{"random", func() *bipartite.Graph { return gen.RandomBipartite(r, 3+r.Intn(3), 3+r.Intn(3), 0.5) }, 60},
 	}
+	var out []Corpus
 	for _, f := range families {
+		c := Corpus{Name: f.name}
+		for s := 0; s < f.n; s++ {
+			c.Schemes = append(c.Schemes, f.make())
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// ECorollary2 counts class memberships across generated families,
+// verifying the containment chain and its properness.
+func ECorollary2(ctx context.Context) Table {
+	t := Table{
+		ID:     "E-C2",
+		Title:  "Corollary 2: containment (4,1) ⊂ (6,2) ⊂ (6,1) ⊂ Vi-chordal ∧ Vi-conformal",
+		Header: []string{"family", "samples", "(4,1)", "(6,2)", "(6,1)", "alphaV1", "alphaV2", "verdict"},
+	}
+	for _, f := range Corollary2Corpus() {
 		var c41, c62, c61, a1, a2 int
 		chainOK := true
-		for s := 0; s < f.n; s++ {
-			cl := chordality.Classify(f.make())
+		for _, b := range f.Schemes {
+			cl := chordality.Classify(b)
 			if cl.Chordal41 {
 				c41++
 			}
@@ -149,7 +184,7 @@ func ECorollary2(ctx context.Context) Table {
 			}
 		}
 		t.Rows = append(t.Rows, []string{
-			f.name, itoa(f.n), itoa(c41), itoa(c62), itoa(c61), itoa(a1), itoa(a2), verdict(chainOK),
+			f.Name, itoa(len(f.Schemes)), itoa(c41), itoa(c62), itoa(c61), itoa(a1), itoa(a2), verdict(chainOK),
 		})
 	}
 	t.Notes = append(t.Notes, "counts increase along the chain; Fig 5 (E-FIG5) witnesses properness of the last containment")

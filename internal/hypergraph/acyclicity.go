@@ -2,6 +2,8 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/intset"
 )
@@ -79,12 +81,7 @@ type BergeCycle struct {
 func (h *Hypergraph) FindBergeCycle() *BergeCycle {
 	n, m := h.N(), h.M()
 	// Incidence adjacency: vertex v<n is node v; vertex n+i is edge i.
-	edgesOf := make([][]int, n)
-	for i, e := range h.edges {
-		for _, v := range e {
-			edgesOf[v] = append(edgesOf[v], i)
-		}
-	}
+	edgesOf := h.incidence()
 	parent := make([]int, n+m) // DFS tree parent in incidence graph
 	state := make([]int, n+m)  // 0 unvisited, 1 on stack, 2 done
 	for i := range parent {
@@ -164,74 +161,94 @@ func (h *Hypergraph) FindBergeCycle() *BergeCycle {
 	return &bc
 }
 
-// NestPoint reports whether node v is a nest point of the working edge
-// family: the edges containing v are totally ordered by inclusion.
-func nestPoint(edges []intset.Set, v int) bool {
-	var containing []intset.Set
-	for _, e := range edges {
-		if e.Contains(v) {
-			containing = append(containing, e)
+// BetaAcyclic reports whether h is β-acyclic (no β-cycle, Definition 6).
+//
+// The recognizer eliminates nest points: h is β-acyclic iff repeatedly
+// deleting a nest point — a node whose edges form an inclusion chain —
+// deletes every node. A nest point stays one when any other node is
+// deleted (its edges, cut down alike, still form a chain), so the order of
+// deletion does not change where elimination gets stuck, and deleting v can
+// only make new nest points among the nodes that share an edge with v.
+// betaCore therefore checks each node once, and again only after such a
+// neighbour goes; see there for the cost. internal/reference keeps the
+// rescan-everything elimination as the oracle the tests compare with.
+func (h *Hypergraph) BetaAcyclic() bool {
+	return len(h.betaCore()) == 0
+}
+
+// betaCore runs nest-point elimination from a worklist and returns the
+// nodes it cannot delete, in increasing order: nil when h is β-acyclic.
+// Nodes in no edge take no part.
+//
+// Each edge is a sorted row of its surviving nodes, cut in place as nodes
+// go. A check of v sorts v's edges by row length and tests neighbouring
+// rows for inclusion, O(Σ|e|) over those edges; deleting v costs O(|e|)
+// per edge at v. On sparse schemes, where each node meets few edges of
+// bounded size, the whole elimination is near-linear in Σ|e|, and memory
+// is O(Σ|e|).
+func (h *Hypergraph) betaCore() []int {
+	edgesOf := h.incidence()
+	rows := make([]intset.Set, len(h.edges))
+	flat := make([]int, 0, h.Size())
+	for i, e := range h.edges {
+		off := len(flat)
+		flat = append(flat, e...)
+		rows[i] = flat[off:len(flat):len(flat)]
+	}
+	const (
+		idle = iota
+		queued
+		deleted
+	)
+	state := make([]uint8, h.N())
+	work := make([]int, 0, h.N())
+	for v := h.N() - 1; v >= 0; v-- {
+		if len(edgesOf[v]) > 0 {
+			state[v] = queued
+			work = append(work, v)
 		}
 	}
-	for i := 0; i < len(containing); i++ {
-		for j := i + 1; j < len(containing); j++ {
-			if !containing[i].SubsetOf(containing[j]) && !containing[j].SubsetOf(containing[i]) {
-				return false
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		state[v] = idle
+		if !nestPoint(rows, edgesOf[v]) {
+			continue
+		}
+		state[v] = deleted
+		for _, e := range edgesOf[v] {
+			row := rows[e]
+			i := sort.SearchInts(row, v)
+			rows[e] = append(row[:i], row[i+1:]...)
+			for _, u := range rows[e] {
+				if state[u] == idle {
+					state[u] = queued
+					work = append(work, u)
+				}
 			}
+		}
+	}
+	var core []int
+	for v, s := range state {
+		if len(edgesOf[v]) > 0 && s != deleted {
+			core = append(core, v)
+		}
+	}
+	return core
+}
+
+// nestPoint reports whether the given rows — those of the edges at one
+// node — form an inclusion chain. It sorts edges by row length in place;
+// rows of equal length in a chain are equal, so consecutive inclusions
+// decide it.
+func nestPoint(rows []intset.Set, edges []int) bool {
+	slices.SortFunc(edges, func(a, b int) int { return len(rows[a]) - len(rows[b]) })
+	for i := 1; i < len(edges); i++ {
+		if !rows[edges[i-1]].SubsetOf(rows[edges[i]]) {
+			return false
 		}
 	}
 	return true
-}
-
-// BetaAcyclic reports whether h is β-acyclic (no β-cycle, Definition 6).
-//
-// The recognizer eliminates nest points: a hypergraph is β-acyclic iff
-// every nonempty subhypergraph has a nest point — a node whose incident
-// edges form an inclusion chain — and greedily removing any nest point
-// (then dropping emptied edges) is confluent. If elimination gets stuck
-// with nodes remaining, h has a β-cycle. Cross-checked in tests against the
-// definitional β-cycle search of internal/reference.
-func (h *Hypergraph) BetaAcyclic() bool {
-	core, _ := h.betaCore()
-	return len(core) == 0
-}
-
-// betaCore runs nest-point elimination and returns the remaining active
-// nodes and working edges when stuck (empty when β-acyclic).
-func (h *Hypergraph) betaCore() ([]int, []intset.Set) {
-	work := make([]intset.Set, 0, h.M())
-	for _, e := range h.edges {
-		work = append(work, e.Clone())
-	}
-	activeSet := map[int]bool{}
-	for _, e := range work {
-		for _, v := range e {
-			activeSet[v] = true
-		}
-	}
-	active := intset.FromMap(activeSet)
-	for len(active) > 0 {
-		eliminated := -1
-		for _, v := range active {
-			if nestPoint(work, v) {
-				eliminated = v
-				break
-			}
-		}
-		if eliminated == -1 {
-			return active, work
-		}
-		active = active.Remove(eliminated)
-		next := work[:0]
-		for _, e := range work {
-			e = e.Remove(eliminated)
-			if !e.Empty() {
-				next = append(next, e)
-			}
-		}
-		work = next
-	}
-	return nil, nil
 }
 
 // GammaAcyclic reports whether h is γ-acyclic (no γ-cycle, Definition 6).
@@ -253,34 +270,76 @@ type GammaTriangle struct {
 }
 
 // FindGammaTriangle returns a special triangle of h, or nil if none exists.
+//
 // The conditions are symmetric under swapping e1 and e3, so the scan fixes
-// e1 < e3 and tries every middle edge e2.
+// e1 < e3. The three edges of a special triangle meet pairwise, so e3 and
+// e2 range only over the edges that share a node with e1, listed from the
+// node→edge incidence lists. The witness is the first in (e1, e3, e2)
+// order, with the lowest node of each intersection — the one a scan of all
+// triples finds. The cost is Σ over e1 of |meets(e1)|² merge tests:
+// near-linear when each edge meets few others, O(m³) only when most edges
+// meet.
 func (h *Hypergraph) FindGammaTriangle() *GammaTriangle {
-	m := h.M()
-	for a := 0; a < m; a++ {
-		for c := a + 1; c < m; c++ {
-			ac := h.edges[a].Inter(h.edges[c])
-			if ac.Empty() {
+	edgesOf := h.incidence()
+	listed := make([]int, h.M()) // listed[e] == a+1 once e is in meets
+	var meets []int
+	for a, ea := range h.edges {
+		meets = meets[:0]
+		for _, v := range ea {
+			for _, e := range edgesOf[v] {
+				if e != a && listed[e] != a+1 {
+					listed[e] = a + 1
+					meets = append(meets, e)
+				}
+			}
+		}
+		slices.Sort(meets)
+		for _, c := range meets {
+			if c < a {
 				continue
 			}
-			for b := 0; b < m; b++ {
-				if b == a || b == c {
+			ec := h.edges[c]
+			for _, b := range meets {
+				if b == c {
 					continue
 				}
-				n1s := h.edges[a].Inter(h.edges[b]).Diff(h.edges[c])
-				if n1s.Empty() {
+				eb := h.edges[b]
+				n1, ok := firstInterDiff(ea, eb, ec)
+				if !ok {
 					continue
 				}
-				n2s := h.edges[b].Inter(h.edges[c]).Diff(h.edges[a])
-				if n2s.Empty() {
+				n2, ok := firstInterDiff(eb, ec, ea)
+				if !ok {
 					continue
 				}
-				return &GammaTriangle{
-					E1: a, E2: b, E3: c,
-					N1: n1s[0], N2: n2s[0], N3: ac[0],
-				}
+				n3, _ := firstInterDiff(ea, ec, nil)
+				return &GammaTriangle{E1: a, E2: b, E3: c, N1: n1, N2: n2, N3: n3}
 			}
 		}
 	}
 	return nil
+}
+
+// firstInterDiff returns the lowest node of x∩y∖z, without allocating.
+func firstInterDiff(x, y, z intset.Set) (int, bool) {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		switch {
+		case x[i] < y[j]:
+			i++
+		case x[i] > y[j]:
+			j++
+		default:
+			v := x[i]
+			for k < len(z) && z[k] < v {
+				k++
+			}
+			if k == len(z) || z[k] != v {
+				return v, true
+			}
+			i++
+			j++
+		}
+	}
+	return 0, false
 }

@@ -133,6 +133,18 @@ func (h *Hypergraph) EdgesOf(v int) []int {
 	return out
 }
 
+// incidence returns, for every node, the indices of the edges containing
+// it in increasing order: EdgesOf for all nodes in one O(Σ|e|) pass.
+func (h *Hypergraph) incidence() [][]int {
+	edgesOf := make([][]int, h.N())
+	for i, e := range h.edges {
+		for _, v := range e {
+			edgesOf[v] = append(edgesOf[v], i)
+		}
+	}
+	return edgesOf
+}
+
 // NodeLabels maps node ids to labels.
 func (h *Hypergraph) NodeLabels(vs []int) []string {
 	out := make([]string, len(vs))

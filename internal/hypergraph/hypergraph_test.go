@@ -279,13 +279,24 @@ func TestPrimalGraph(t *testing.T) {
 }
 
 func TestConformal(t *testing.T) {
-	if !forestH().Conformal() {
+	// The forest's and the triangle's primal graphs are chordal, so
+	// Conformal decides by GYO; the 4-cycle's is not, so it runs
+	// Gilmore's scan. ConformalWitness is that scan called directly.
+	if !forestH().Conformal(true) || forestH().ConformalWitness() != nil {
 		t.Error("forest should be conformal")
+	}
+	square := New()
+	square.AddEdgeLabels("ab", "a", "b")
+	square.AddEdgeLabels("bc", "b", "c")
+	square.AddEdgeLabels("cd", "c", "d")
+	square.AddEdgeLabels("da", "d", "a")
+	if !square.Conformal(false) {
+		t.Error("4-cycle of pairs should be conformal: its cliques are its edges")
 	}
 	// Pure triangle: {a,b,c} is a clique of the primal graph contained in
 	// no edge.
 	h := triangleH()
-	if h.Conformal() {
+	if h.Conformal(true) {
 		t.Error("triangle should not be conformal")
 	}
 	w := h.ConformalWitness()
@@ -424,14 +435,14 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestNestPointHelper(t *testing.T) {
-	edges := []intset.Set{intset.New(0, 1), intset.New(0, 1, 2), intset.New(1, 2)}
-	if !nestPoint(edges, 0) {
+	rows := []intset.Set{intset.New(0, 1), intset.New(0, 1, 2), intset.New(1, 2)}
+	if !nestPoint(rows, []int{1, 0}) {
 		t.Error("0 should be a nest point ({0,1} ⊆ {0,1,2})")
 	}
-	if nestPoint(edges, 1) {
+	if nestPoint(rows, []int{0, 1, 2}) {
 		t.Error("1 should not be a nest point ({0,1} vs {1,2} incomparable)")
 	}
-	if !nestPoint(edges, 3) {
-		t.Error("absent node is vacuously a nest point")
+	if !nestPoint(rows, nil) {
+		t.Error("a node in no edge is vacuously a nest point")
 	}
 }

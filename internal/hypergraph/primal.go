@@ -21,19 +21,32 @@ func (h *Hypergraph) PrimalGraph() *graph.Graph {
 }
 
 // Conformal reports whether h is conformal: every clique of G(H) is
-// contained in some edge of h (Definition 7).
+// contained in some edge of h (Definition 7). primalChordal must be the
+// chordality verdict of G(H); a caller classifying a scheme computes it
+// anyway (V1/V2-chordality), so it is passed in, not recomputed here.
 //
-// The test uses Gilmore's criterion (Berge, "Graphs and Hypergraphs"):
-// h is conformal iff for every three edges e1, e2, e3 some edge contains
-// (e1∩e2) ∪ (e2∩e3) ∪ (e3∩e1). Pairs and singletons are trivially covered,
-// so the triple condition is complete. The scan is O(m³) set operations.
-func (h *Hypergraph) Conformal() bool {
-	_, ok := h.conformalCounterexample()
-	return !ok
+// By Beeri, Fagin, Maier and Yannakakis (JACM 1983), h is α-acyclic iff
+// G(H) is chordal and h is conformal. So when G(H) is chordal, h is
+// conformal exactly when it is α-acyclic, and GYO reduction decides that
+// (AlphaAcyclic). Only a non-chordal G(H) runs Gilmore's criterion (see
+// ConformalWitness), a scan of O(m³) edge triples with an O(m) covering
+// search each.
+func (h *Hypergraph) Conformal(primalChordal bool) bool {
+	if primalChordal {
+		return h.AlphaAcyclic()
+	}
+	return h.ConformalWitness() == nil
 }
 
 // ConformalWitness returns a clique of G(H) contained in no edge of h, or
 // nil if h is conformal.
+//
+// It runs Gilmore's criterion (Berge, "Graphs and Hypergraphs"): h is
+// conformal iff for every three edges e1, e2, e3 some edge contains
+// (e1∩e2) ∪ (e2∩e3) ∪ (e3∩e1). Pairs and singletons are trivially covered,
+// so the triple condition is complete. The scan is O(m³) set operations
+// plus a covering search per triple; Conformal calls it only when G(H) is
+// not chordal.
 func (h *Hypergraph) ConformalWitness() intset.Set {
 	w, ok := h.conformalCounterexample()
 	if !ok {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pinned benchmark trajectory: run the serving-path benchmarks every PR
-# cares about (frozen solver cost per query, hot cache serving, batch
-# throughput, the bit-parallel kernels against their CSR fallbacks, and
-# the cache's miss-plus-eviction and warm-restore cost at capacity),
+# cares about (frozen solver cost per query, scheme classification at
+# compile time, hot cache serving, batch throughput, the bit-parallel
+# kernels against their CSR fallbacks, and the cache's
+# miss-plus-eviction and warm-restore cost at capacity),
 # then fold them together with a chordalctl load-harness run into one
 # schema-versioned BENCH_<tag>.json so perf changes leave a diffable,
 # attributable trail next to the code.
@@ -36,7 +37,7 @@ trap 'rm -f "$RAW" "$MICRO"' EXIT
 # before the mutable solvers were deleted also hold */Mutable/* rows, which
 # have no successor.
 {
-  go test -run 'xxx' -bench 'BenchmarkSteinerMutableVsFrozen|BenchmarkServiceThroughput' \
+  go test -run 'xxx' -bench 'BenchmarkSteinerMutableVsFrozen|BenchmarkServiceThroughput|BenchmarkClassifyFrozen' \
     -benchmem -benchtime "$BENCHTIME" -timeout 15m .
   go test -run 'xxx' -bench 'BenchmarkServeHotParallel' \
     -benchmem -benchtime "$BENCHTIME" -timeout 15m ./internal/core
